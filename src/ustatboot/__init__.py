@@ -41,7 +41,6 @@ from .inference import TestResult, test_covariance, test_kendall, test_ustat_mea
 from .kernels import CovarianceKernel, CustomKernel, Kernel, KendallKernel
 from .matstat import (
     NotPositiveDefiniteError,
-    SpectralNormError,
     frobenius_norm,
     matrix_l1_norm,
     off_sup_norm,
@@ -95,7 +94,6 @@ __all__ = [
     "Kernel",
     "KendallKernel",
     "NotPositiveDefiniteError",
-    "SpectralNormError",
     "frobenius_norm",
     "matrix_l1_norm",
     "off_sup_norm",

@@ -153,9 +153,21 @@ def draw_bootstrap(
 
 
 def quantile(draws: BootstrapDraws, alpha: float) -> QuantileEstimate:
-    """Empirical inf-quantile: the ceil(alpha * B)-th order statistic."""
+    """Empirical inf-quantile: the ceil(alpha * B)-th order statistic.
+
+    Levels like 1 - 0.95 carry rounding error of a few units of double
+    precision at 1, so alpha * B within that distance of an integer is taken
+    as that integer (ceil(0.05 * 200) is 10, not 11).  Raises
+    FloatingPointError if the selected draw is not finite.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     b = draws.b
-    idx = max(math.ceil(alpha * b), 1) - 1
-    return QuantileEstimate(alpha=alpha, value=float(draws.values[idx]), b=b)
+    k = alpha * b
+    rank = round(k)
+    if abs(k - rank) > 4 * b * math.ulp(1.0):
+        rank = math.ceil(k)
+    value = float(draws.values[max(rank, 1) - 1])
+    if not math.isfinite(value):
+        raise FloatingPointError(f"bootstrap quantile at level {alpha} is {value}")
+    return QuantileEstimate(alpha=alpha, value=value, b=b)

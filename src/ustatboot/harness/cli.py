@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..matstat import NotPositiveDefiniteError, SpectralNormError
+from ..matstat import NotPositiveDefiniteError
 from .config import EXPERIMENT_NAMES, ConfigError, default_config, load_config
 from .experiments import run_experiment
 
@@ -113,7 +113,6 @@ def main(argv: list[str] | None = None) -> int:
         result = run_experiment(cfg)
     except (
         NotPositiveDefiniteError,
-        SpectralNormError,
         np.linalg.LinAlgError,
         FloatingPointError,
     ) as exc:

@@ -1,8 +1,8 @@
 """Dense symmetric-matrix primitives.
 
-Norms, half-vectorization (column-major over the lower triangle), Cholesky
-factorization and a power-iteration spectral norm.  All functions are pure;
-matrices are plain float64 numpy arrays.
+Norms, half-vectorization (column-major over the lower triangle) and
+Cholesky factorization.  All functions are pure; matrices are plain float64
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "SpectralNormError",
     "as_sym",
     "vech_index",
     "vech_pairs",
@@ -37,14 +36,6 @@ class NotPositiveDefiniteError(ValueError):
         self.pivot = pivot
         self.value = value
         super().__init__(f"matrix not positive definite: pivot {pivot} = {value:g}")
-
-
-class SpectralNormError(RuntimeError):
-    """Power iteration failed to converge."""
-
-    def __init__(self, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"spectral norm did not converge in {iterations} iterations")
 
 
 def as_sym(a: np.ndarray, warn_tol: float = ASYM_WARN_TOL) -> np.ndarray:
@@ -133,36 +124,9 @@ def matrix_l1_norm(m: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(m), axis=0)))
 
 
-def spectral_norm(m: np.ndarray, tol: float = 1e-9, max_iter: int = 10_000) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix by power iteration.
-
-    Iterates on M @ M so eigenvalue-sign ties (e.g. +c and -c both extremal)
-    do not stall convergence; returns sqrt of the dominant eigenvalue of M^2.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = np.asarray(m, dtype=np.float64)
-    p = m.shape[0]
-    if not np.any(m):
-        return 0.0
-    v = np.random.default_rng(0).standard_normal(p)
-    v /= np.linalg.norm(v)
-    lam2 = 0.0
-    for _ in range(max_iter):
-        w = m @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            # v is in the null space of M^2; restart from a shifted vector
-            v = np.roll(v, 1) + 1.0 / p
-            v /= np.linalg.norm(v)
-            continue
-        v_new = w / nw
-        lam2_new = float(v_new @ (m @ (m @ v_new)))
-        if abs(lam2_new - lam2) <= tol * max(lam2_new, np.finfo(float).tiny):
-            return float(np.sqrt(max(lam2_new, 0.0)))
-        lam2 = lam2_new
-        v = v_new
-    raise SpectralNormError(max_iter)
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix (its 2-norm)."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:

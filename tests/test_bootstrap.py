@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +151,29 @@ def test_quantile_order_statistic_oracle():
         quantile(draws, 0.0)
     with pytest.raises(ValueError):
         quantile(draws, 1.0)
+
+
+@pytest.mark.parametrize("b", [1, 7, 20, 99, 200, 1000, 4096])
+def test_quantile_index_exact_on_level_grid(b):
+    # levels on the 0.05 grid, written the ways callers compute them; the
+    # order statistic must be ceil(alpha * b) in exact arithmetic
+    draws = BootstrapDraws(
+        values=np.arange(1.0, b + 1.0), scaling="raw", restriction="all"
+    )
+    for i in range(1, 20):
+        rank = max(math.ceil(Fraction(i, 20) * b), 1)
+        for alpha in (i / 20, i * 0.05, 1.0 - (20 - i) / 20, 1.0 - (20 - i) * 0.05):
+            assert quantile(draws, alpha).value == rank, (alpha, b)
+
+
+def test_quantile_rejects_non_finite_draw():
+    draws = BootstrapDraws(
+        values=np.array([1.0, 2.0, np.inf, np.nan]), scaling="raw", restriction="all"
+    )
+    assert quantile(draws, 0.5).value == 2.0
+    for alpha in (0.75, 0.95):
+        with pytest.raises(FloatingPointError):
+            quantile(draws, alpha)
 
 
 @given(

@@ -73,3 +73,13 @@ def test_alpha_validation(m1_data):
     _, data = m1_data
     with pytest.raises(ValueError):
         covariance_test(data, np.eye(8), 0.0)
+
+
+@pytest.mark.parametrize("run_test", [covariance_test, kendall_test])
+def test_non_finite_data_raises(m1_data, run_test):
+    # a NaN must not turn into critical_value=nan, reject=False
+    model, data = m1_data
+    data = data.copy()
+    data[3, 2] = np.nan
+    with pytest.raises(ValueError):
+        run_test(data, np.eye(data.shape[1]), 0.05, 50, 7)

@@ -8,6 +8,7 @@ from ustatboot.kernels import (
     CustomKernel,
     Kernel,
     KendallKernel,
+    _KENDALL_BLOCK,
     check_data,
 )
 
@@ -39,6 +40,52 @@ def test_cross_mean_matches_pair_loop(kernel, seed):
     np.testing.assert_allclose(
         kernel.cross_mean(xs, ys), pair_loop_cross_mean(kernel, xs, ys), atol=1e-12
     )
+
+
+def _kendall_sample(rng, shape, ties):
+    if ties:
+        return rng.integers(0, 3, shape).astype(np.float64)
+    return rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize(
+    "n_x, n_y, p",
+    [(1, 1, 1), (5, 3, 4), (_KENDALL_BLOCK + 1, 17, 3), (2 * _KENDALL_BLOCK + 3, 11, 2)],
+)
+def test_kendall_cross_mean_equals_pair_loop_exactly(n_x, n_y, p, ties):
+    rng = np.random.default_rng(n_x * 100 + n_y)
+    xs = _kendall_sample(rng, (n_x, p), ties)
+    ys = _kendall_sample(rng, (n_y, p), ties)
+    k = KendallKernel()
+    np.testing.assert_array_equal(k.cross_mean(xs, ys), pair_loop_cross_mean(k, xs, ys))
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize(
+    "n, p", [(2, 1), (7, 4), (_KENDALL_BLOCK, 3), (2 * _KENDALL_BLOCK + 3, 3)]
+)
+def test_kendall_u_stat_equals_pair_loop_exactly(n, p, ties):
+    rng = np.random.default_rng(n)
+    data = _kendall_sample(rng, (n, p), ties)
+    k = KendallKernel()
+    np.testing.assert_array_equal(k.u_stat(data), pair_loop_u_stat(k, data))
+
+
+@given(
+    st.integers(min_value=2, max_value=3 * _KENDALL_BLOCK),
+    st.integers(min_value=1, max_value=5),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**31),
+)
+@settings(max_examples=30, deadline=None)
+def test_kendall_u_stat_is_off_diagonal_cross_mean(n, p, ties, seed):
+    # h(x, x) = 0, so n * cross_mean(data, data) summed over rows counts every
+    # ordered pair i != j: twice the unordered-pair sum behind u_stat
+    data = _kendall_sample(np.random.default_rng(seed), (n, p), ties)
+    k = KendallKernel()
+    counts = np.rint(k.cross_mean(data, data) * n).sum(axis=0)
+    np.testing.assert_array_equal(k.u_stat(data), counts / (n * (n - 1)))
 
 
 def test_kendall_u_stat_block_boundary():
@@ -114,3 +161,6 @@ def test_check_data_validation():
         check_data(np.zeros((1, 3)))
     out = check_data([[1, 2], [3, 4]])
     assert out.dtype == np.float64
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            check_data([[1.0, 2.0], [bad, 4.0]])

@@ -86,6 +86,14 @@ def test_spectral_norm_sign_tie_and_null_space():
     assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
+def test_spectral_norm_near_tied_eigenvalues():
+    # |eigenvalues| 0.86203 and 0.86191, as in a threshold_eval error matrix
+    # where power iteration did not converge
+    q, _ = np.linalg.qr(np.random.default_rng(75).standard_normal((6, 6)))
+    m = q @ np.diag([0.86203, -0.86191, 0.5, -0.3, 0.1, 0.0]) @ q.T
+    assert spectral_norm(m) == pytest.approx(0.86203, rel=1e-12)
+
+
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=40, deadline=None)
 def test_spectral_norm_matches_eigvalsh(p, seed):
