@@ -96,7 +96,9 @@ def _chol_with_jitter(cov: np.ndarray) -> np.ndarray:
             return cholesky(cov + jitter * np.eye(cov.shape[0]))
         except NotPositiveDefiniteError:
             jitter *= 10.0
-    raise NotPositiveDefiniteError(-1, jitter)
+    raise NotPositiveDefiniteError(
+        f"not positive definite after {_JITTER_TRIES} jitter escalations"
+    )
 
 
 def sample_z_max(

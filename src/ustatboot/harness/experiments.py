@@ -17,6 +17,7 @@ import numpy as np
 from ..bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, split_sample
 from ..distributions import EllipticalModel, population_sigma, sample
 from ..estimators import (
+    SUPPORT_TOL,
     ClimeInfeasibleError,
     error_metrics,
     select_lambda_star,
@@ -362,6 +363,22 @@ def _bootstrap_quantile_cov(cfg: ExperimentConfig, tag: int, r: int):
     return sigma, s_hat, quantile(draws, 1.0 - cfg.alpha)
 
 
+def _is_zero(estimate: np.ndarray) -> float:
+    """1.0 when no entry exceeds the support tolerance (all-zero estimate)."""
+    return float(np.all(np.abs(estimate) <= SUPPORT_TOL))
+
+
+def _l1_regime_summary(arr: np.ndarray, ok: np.ndarray) -> dict[str, float]:
+    """All-zero share among feasible replications (lambda* large enough for
+    theta = 0 to be feasible) and the lambda* range; rows hold lambda* in
+    column 1 and the all-zero flag in column 6."""
+    return {
+        "zero_solution_rate": float(arr[ok, 6].mean()) if ok.any() else np.nan,
+        "lambda_star_min": float(arr[:, 1].min()),
+        "lambda_star_max": float(arr[:, 1].max()),
+    }
+
+
 def _clime_rep(cfg: ExperimentConfig, r: int) -> list[float]:
     sigma, s_hat, q = _bootstrap_quantile_cov(cfg, _TAGS["clime_eval"], r)
     omega = np.linalg.inv(sigma)
@@ -370,7 +387,7 @@ def _clime_rep(cfg: ExperimentConfig, r: int) -> list[float]:
     try:
         est = solve_clime(s_hat, lam)
     except ClimeInfeasibleError:
-        return [float(r), lam, np.nan, np.nan, np.nan, 0.0]
+        return [float(r), lam, np.nan, np.nan, np.nan, 0.0, np.nan]
     metrics = error_metrics(est, omega)
     return [
         float(r),
@@ -379,6 +396,7 @@ def _clime_rep(cfg: ExperimentConfig, r: int) -> list[float]:
         metrics["frob_per_p"],
         metrics["sup"],
         1.0,
+        _is_zero(est),
     ]
 
 
@@ -394,11 +412,13 @@ def run_clime_eval(cfg: ExperimentConfig) -> ExperimentResult:
             "frob_err_per_p",
             "sup_err",
             "feasible",
+            "zero_solution",
         ],
         rows=rows,
         summary={
             "feasible_rate": float(ok.mean()),
             "mean_spectral_err": float(arr[ok, 2].mean()) if ok.any() else np.nan,
+            **_l1_regime_summary(arr, ok),
         },
     )
 
@@ -412,7 +432,7 @@ def _linfun_rep(cfg: ExperimentConfig, r: int) -> list[float]:
     lam = select_lambda_star(q, m_bound)
     sol = solve_dantzig_linfun(s_hat, b, lam)
     if sol.theta is None:
-        return [float(r), lam, np.nan, np.nan, np.nan, 0.0]
+        return [float(r), lam, np.nan, np.nan, np.nan, 0.0, np.nan]
     diff = sol.theta - theta
     return [
         float(r),
@@ -421,6 +441,7 @@ def _linfun_rep(cfg: ExperimentConfig, r: int) -> list[float]:
         float(np.linalg.norm(diff)),
         float(np.max(np.abs(diff))),
         1.0 if sol.feasible else 0.0,
+        _is_zero(sol.theta),
     ]
 
 
@@ -429,11 +450,20 @@ def run_linfun_eval(cfg: ExperimentConfig) -> ExperimentResult:
     arr = np.array(rows)
     ok = arr[:, 5] == 1.0
     return ExperimentResult(
-        columns=["replication", "lambda_star", "err_l1", "err_l2", "err_linf", "feasible"],
+        columns=[
+            "replication",
+            "lambda_star",
+            "err_l1",
+            "err_l2",
+            "err_linf",
+            "feasible",
+            "zero_solution",
+        ],
         rows=rows,
         summary={
             "feasible_rate": float(ok.mean()),
             "mean_err_linf": float(arr[ok, 4].mean()) if ok.any() else np.nan,
+            **_l1_regime_summary(arr, ok),
         },
     )
 

@@ -128,17 +128,19 @@ class CovarianceKernel(Kernel):
         return (c.T @ c) / (n - 1)
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # mean_j h(x, y_j) = (x x^T - x ybar^T - ybar x^T + M2) / 2,
-        # with M2 the mean of y_j y_j^T
+        # mean_j h(x, y_j) = ((x - ybar)(x - ybar)^T + C) / 2, with C the
+        # mean of (y_j - ybar)(y_j - ybar)^T
         xs = check_data(xs, min_rows=1)
         ys = check_data(ys, min_rows=1)
         if xs.shape[1] != ys.shape[1]:
             raise ValueError("dimension mismatch between the two samples")
         ybar = ys.mean(axis=0)
-        m2 = (ys.T @ ys) / ys.shape[0]
-        outer = np.einsum("im,ik->imk", xs, xs)
-        cross = np.einsum("im,k->imk", xs, ybar)
-        return (outer - cross - cross.transpose(0, 2, 1) + m2) / 2.0
+        cy = ys - ybar
+        d = xs - ybar
+        out = d[:, :, None] * d[:, None, :]
+        out += (cy.T @ cy) / ys.shape[0]
+        out /= 2.0
+        return out
 
 
 class KendallKernel(Kernel):

@@ -1,10 +1,12 @@
 """Dense two-phase simplex for small linear programs.
 
 Problems are stated as  min c^T x  subject to  A x <= b, x >= 0.  Slack
-variables turn the constraints into equalities and artificial variables give
-the phase-1 start.  Bland's smallest-index rule is used for both the entering
-and leaving choices, so the method cannot cycle.  Intended for the CLIME /
-Dantzig column problems (a few hundred variables at most).
+variables turn the constraints into equalities.  Rows with b >= 0 start with
+their slack in the basis; only rows with b < 0 (sign-flipped) get an
+artificial variable, and phase 1 minimizes the sum of those.  Bland's
+smallest-index rule is used for both the entering and leaving choices, so
+the method cannot cycle.  Intended for the CLIME / Dantzig column problems
+(a few hundred variables at most).
 """
 
 from __future__ import annotations
@@ -52,43 +54,44 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
+    # simplex pivots over both phases, including those that drive leftover
+    # artificials out of the basis
+    pivots: int
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Gauss-Jordan pivot on (row, col) as one rank-1 update of the rows
+    with a nonzero factor in the pivot column."""
     tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
+    f = tab[:, col].copy()
+    f[row] = 0.0
+    nz = np.flatnonzero(f)
+    tab[nz] -= np.outer(f[nz], tab[row])
 
 
-def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
+def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
     """Minimize the objective in the last tableau row over the first ``ncols``
-    columns (last column is the rhs).  Bland's rule throughout."""
+    columns (last column is the rhs).  Bland's rule throughout.  Returns the
+    status and the number of pivots."""
     m = tab.shape[0] - 1
-    for _ in range(_MAX_ITER):
-        obj = tab[-1, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
+    for it in range(_MAX_ITER):
+        improving = np.flatnonzero(tab[-1, :ncols] < -_TOL)
+        if improving.size == 0:
+            return "optimal", it
+        entering = improving[0]
         col = tab[:m, entering]
-        rhs = tab[:m, -1]
-        leaving = -1
-        best = np.inf
-        for r in range(m):
-            if col[r] > _TOL:
-                ratio = rhs[r] / col[r]
-                if ratio < best - _TOL or (
-                    abs(ratio - best) <= _TOL
-                    and (leaving < 0 or basis[r] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = r
+        rows = np.flatnonzero(col > _TOL)
+        ratios = tab[rows, -1] / col[rows]
+        # sequential scan: smallest ratio, ties (within _TOL of the running
+        # best) broken by the smallest basic index
+        leaving, best = -1, np.inf
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - _TOL or (
+                abs(ratio - best) <= _TOL and basis[r] < basis[leaving]
+            ):
+                best, leaving = ratio, r
         if leaving < 0:
-            return "unbounded"
+            return "unbounded", it
         _pivot(tab, leaving, entering)
         basis[leaving] = entering
     raise SimplexError(f"simplex exceeded {_MAX_ITER} iterations")
@@ -96,60 +99,53 @@ def _simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP; optimality certified by nonnegative reduced costs."""
-    c, a, b = problem.c, problem.a_ub.copy(), problem.b_ub.copy()
+    c, a, b = problem.c, problem.a_ub, problem.b_ub
     m, n = a.shape
+    n_real = n + m  # structural + slack columns
 
-    # equality form with slacks; flip rows so the rhs is nonnegative
-    full = np.hstack([a, np.eye(m)])
-    neg = b < 0
-    full[neg] *= -1.0
-    b = np.abs(b)
-
-    n_slack = m
-    n_art = m
-    ncols = n + n_slack + n_art
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, : n + n_slack] = full
-    tab[:m, n + n_slack : ncols] = np.eye(m)
+    # equality form with slacks; flip rows so the rhs is nonnegative, and
+    # give each flipped row an artificial as its starting basic variable
+    neg = np.flatnonzero(b < 0)
+    art = n_real + np.arange(neg.size)
+    tab = np.zeros((m + 1, n_real + neg.size + 1))
+    tab[:m, :n] = a
+    tab[:m, n:n_real] = np.eye(m)
     tab[:m, -1] = b
-    basis = np.arange(n + n_slack, ncols)
+    tab[neg] *= -1.0
+    tab[neg, art] = 1.0
+    basis = np.arange(n, n_real)
+    basis[neg] = art
 
-    # phase 1: minimize the sum of artificials
-    tab[-1, n + n_slack : ncols] = 1.0
-    for r in range(m):
-        tab[-1] -= tab[r]
-    status = _simplex(tab, basis, ncols)
-    if status != "optimal" or tab[-1, -1] < -1e-7:
-        # phase-1 objective is bounded below by 0, so "unbounded" cannot
-        # happen; a positive optimum means infeasible
-        return LpSolution(status="infeasible", x=None, objective=None)
-    if -tab[-1, -1] > 1e-7:
-        return LpSolution(status="infeasible", x=None, objective=None)
+    # phase 1: minimize the sum of artificials.  The optimum is >= 0; a
+    # positive one means infeasible (phase 1 cannot be unbounded).
+    pivots = 0
+    if neg.size:
+        tab[-1, art] = 1.0
+        tab[-1] -= tab[neg].sum(axis=0)
+        status, pivots = _simplex(tab, basis, tab.shape[1] - 1)
+        if status != "optimal" or tab[-1, -1] < -1e-7:
+            return LpSolution("infeasible", None, None, pivots)
 
-    # drive any leftover artificials out of the basis (degenerate rows)
-    for r in range(m):
-        if basis[r] >= n + n_slack:
-            for j in range(n + n_slack):
-                if abs(tab[r, j]) > _TOL:
-                    _pivot(tab, r, j)
-                    basis[r] = j
-                    break
-            # a fully zero row is redundant; the artificial stays basic at
-            # zero and never re-enters because its column is excluded below
+        # drive any leftover artificials out of the basis (degenerate rows);
+        # a fully zero row is redundant, so its artificial stays basic at
+        # zero and never re-enters because phase 2 excludes its column
+        for r in np.flatnonzero(basis >= n_real):
+            js = np.flatnonzero(np.abs(tab[r, :n_real]) > _TOL)
+            if js.size:
+                _pivot(tab, r, js[0])
+                basis[r] = js[0]
+                pivots += 1
 
-    # phase 2 on the real + slack columns
-    tab[-1, :] = 0.0
-    tab[-1, :n] = c
-    for r in range(m):
-        if basis[r] < n + n_slack:
-            tab[-1] -= tab[-1, basis[r]] * tab[r]
-    status = _simplex(tab, basis, n + n_slack)
+    # phase 2 on the structural + slack columns
+    cost = np.zeros(tab.shape[1])
+    cost[:n] = c
+    tab[-1] = cost - cost[basis] @ tab[:m]
+    status, more = _simplex(tab, basis, n_real)
+    pivots += more
     if status == "unbounded":
-        return LpSolution(status="unbounded", x=None, objective=None)
+        return LpSolution("unbounded", None, None, pivots)
 
-    x = np.zeros(n + n_slack + n_art)
+    x = np.zeros(tab.shape[1] - 1)
     x[basis] = tab[:m, -1]
     x_real = x[:n]
-    return LpSolution(
-        status="optimal", x=x_real, objective=float(c @ x_real)
-    )
+    return LpSolution("optimal", x_real, float(c @ x_real), pivots)

@@ -30,12 +30,7 @@ ASYM_WARN_TOL = 1e-12
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a non-positive pivot."""
-
-    def __init__(self, pivot: int, value: float):
-        self.pivot = pivot
-        self.value = value
-        super().__init__(f"matrix not positive definite: pivot {pivot} = {value:g}")
+    """Cholesky factorization failed: the matrix is not positive definite."""
 
 
 def as_sym(a: np.ndarray, warn_tol: float = ASYM_WARN_TOL) -> np.ndarray:
@@ -130,19 +125,19 @@ def spectral_norm(m: np.ndarray) -> float:
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == M for positive-definite M.
+    """Lower-triangular L with L @ L.T == M for positive-definite M (only the
+    lower triangle of M is read).
 
-    Raises :class:`NotPositiveDefiniteError` with the offending pivot index
-    (0-based) on failure.
+    Raises :class:`NotPositiveDefiniteError` when the factorization fails or
+    is not finite.
     """
     m = np.asarray(m, dtype=np.float64)
-    p = m.shape[0]
-    low = np.zeros((p, p))
-    for j in range(p):
-        d = m[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0 or not np.isfinite(d):
-            raise NotPositiveDefiniteError(j, float(d))
-        low[j, j] = np.sqrt(d)
-        if j + 1 < p:
-            low[j + 1 :, j] = (m[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    try:
+        low = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(str(exc)) from exc
+    if not np.all(np.isfinite(low)):
+        raise NotPositiveDefiniteError("Cholesky factor is not finite")
     return low

@@ -2,6 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 report; the whole suite is deterministic (fixed seeds) and serial-safe.
+Every test here carries the ``acceptance`` marker, so ``pytest -m "not
+acceptance"`` runs the quick unit tests alone.
 """
 
 import dataclasses
@@ -32,6 +34,8 @@ from ustatboot.harness.experiments import (
 )
 from ustatboot.kernels import CovarianceKernel, KendallKernel
 from ustatboot.ustat import EmpiricalHoeffding, compute_u
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(num: int, passed: bool, detail: str) -> None:
