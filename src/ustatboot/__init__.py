@@ -13,6 +13,7 @@ from .bootstrap import (
     BootstrapDraws,
     DecoupledGEstimates,
     QuantileEstimate,
+    bootstrap_halves,
     draw_bootstrap,
     estimate_g_decoupled,
     quantile,
@@ -66,6 +67,7 @@ __all__ = [
     "BootstrapDraws",
     "DecoupledGEstimates",
     "QuantileEstimate",
+    "bootstrap_halves",
     "draw_bootstrap",
     "estimate_g_decoupled",
     "quantile",

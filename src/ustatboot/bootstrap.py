@@ -23,6 +23,7 @@ import numpy as np
 from .kernels import Kernel, check_data
 from .matstat import vech, vech_pairs
 from .rngutil import SeedLike, substream
+from .ustat import UStatResult, compute_u
 
 __all__ = [
     "DecoupledGEstimates",
@@ -31,6 +32,7 @@ __all__ = [
     "split_sample",
     "estimate_g_decoupled",
     "draw_bootstrap",
+    "bootstrap_halves",
     "quantile",
 ]
 
@@ -150,6 +152,25 @@ def draw_bootstrap(
             values[d] = 2.0 * np.max(np.abs(s)) / n
     values.sort()
     return BootstrapDraws(values=values, scaling=scaling, restriction=restriction)
+
+
+def bootstrap_halves(
+    main: np.ndarray,
+    train: np.ndarray,
+    kernel: Kernel,
+    b: int,
+    scaling: str = "applications",
+    restriction: str = "all",
+    seed: SeedLike = 0,
+    *key: int,
+) -> tuple[UStatResult, BootstrapDraws]:
+    """The front end every application shares: the U-statistic of the main
+    half and b sorted multiplier draws of the decoupled estimates of the
+    main half against the training half, keyed (seed, *key)."""
+    g = estimate_g_decoupled(main, train, kernel)
+    return compute_u(main, kernel), draw_bootstrap(
+        g, b, scaling, restriction, seed, *key
+    )
 
 
 def quantile(draws: BootstrapDraws, alpha: float) -> QuantileEstimate:

@@ -86,6 +86,8 @@ class ExperimentConfig:
         for name in ("n", "p", "replications", "bootstrap_b", "workers", "band_k0"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not self.alpha_grid:
+            raise ConfigError("alpha_grid must not be empty")
         if not all(0.0 < a < 1.0 for a in self.alpha_grid):
             raise ConfigError("alpha_grid values must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
@@ -94,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError("beta must lie in (0, 1]")
         if any(int(n) < 4 for n in self.n_grid):
             raise ConfigError("n_grid values must be >= 4")
+        if len({int(n) for n in self.n_grid}) < 2:
+            raise ConfigError("n_grid needs at least two distinct sizes for a slope")
+        if self.m_bound is not None and not self.m_bound > 0:
+            raise ConfigError("m_bound must be > 0")
         try:
             model = model_from_config(self.model)
         except ValueError as exc:
@@ -131,11 +137,14 @@ def default_config(experiment: str) -> ExperimentConfig:
     if experiment == "test_size":
         return ExperimentConfig(experiment=experiment, model=_d1_model(40))
     if experiment in ("clime_eval", "linfun_eval"):
+        # lambda* = M a(1 - alpha) with a of order n^{-1/2}: n = 1000 keeps
+        # lambda* below 1, where theta = 0 is infeasible (at n = 100 every
+        # estimate is the all-zero one)
         return ExperimentConfig(
             experiment=experiment,
             model=_banded_ar_model(20),
             p=20,
-            n=100,
+            n=1000,
             replications=50,
         )
     # maximal_ineq_scaling

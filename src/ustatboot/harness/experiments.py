@@ -7,14 +7,21 @@ output is identical for any worker count and rerun.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from ..bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, split_sample
+from ..bootstrap import (
+    BootstrapDraws,
+    QuantileEstimate,
+    bootstrap_halves,
+    quantile,
+    split_sample,
+)
 from ..distributions import EllipticalModel, population_sigma, sample
 from ..estimators import (
     SUPPORT_TOL,
@@ -26,10 +33,10 @@ from ..estimators import (
     solve_dantzig_linfun,
     threshold_cov,
 )
-from ..kernels import CovarianceKernel, KendallKernel
+from ..gaussian_approx import kolmogorov_distance, naive_gaussian_ustat_draws
+from ..kernels import CovarianceKernel, Kernel, KendallKernel
 from ..matstat import matrix_l1_norm, sup_norm
-from ..rngutil import substream
-from ..ustat import compute_u, sup_stat
+from ..ustat import UStatResult, compute_u, sup_stat
 from .config import EXPERIMENT_NAMES, ExperimentConfig
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
@@ -57,66 +64,69 @@ def _map_reps(
         return list(pool.map(partial(fn, cfg), range(count), chunksize=chunk))
 
 
+def _bootstrap(
+    cfg: ExperimentConfig,
+    model: EllipticalModel,
+    kernel: Kernel,
+    r: int,
+    stage: int = 0,
+    scaling: str = "applications",
+    restriction: str = "all",
+) -> tuple[UStatResult, BootstrapDraws]:
+    """Sample 2n rows, split them and bootstrap the halves on the substreams
+    (tag, r, stage), (tag, r, stage + 1) and (tag, r, stage + 2)."""
+    tag = _TAGS[cfg.experiment]
+    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, stage)
+    main, train = split_sample(data, cfg.seed, tag, r, stage + 1)
+    return bootstrap_halves(
+        main, train, kernel, cfg.bootstrap_b, scaling, restriction,
+        cfg.seed, tag, r, stage + 2,
+    )
+
+
+def _hits(
+    stat: float,
+    draws: BootstrapDraws,
+    levels: Iterable[float],
+    compare: Callable[[float, float], bool],
+) -> np.ndarray:
+    """1.0 where compare(stat, quantile of the draws at the level) holds."""
+    return np.array(
+        [1.0 if compare(stat, quantile(draws, a).value) else 0.0 for a in levels]
+    )
+
+
 # ---------------------------------------------------------------------------
 # pp_plot: empirical P(T0bar <= a(alpha)) over an alpha grid (raw scaling)
-# ---------------------------------------------------------------------------
-
-
-def _pp_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
-    tag = _TAGS["pp_plot"]
-    model = cfg.build_model()
-    sigma = population_sigma(model)
-    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, 0)
-    main, train = split_sample(data, cfg.seed, tag, r, 1)
-    t0 = sup_stat(compute_u(main, CovarianceKernel()), sigma, sided="signed")
-    g = estimate_g_decoupled(main, train, CovarianceKernel())
-    draws = draw_bootstrap(g, cfg.bootstrap_b, "raw", "all", cfg.seed, tag, r, 2)
-    return np.array(
-        [1.0 if t0 <= quantile(draws, a).value else 0.0 for a in cfg.alpha_grid]
-    )
-
-
-def run_pp_plot(cfg: ExperimentConfig) -> ExperimentResult:
-    hits = np.vstack(_map_reps(_pp_rep, cfg, cfg.replications))
-    coverage = hits.mean(axis=0)
-    rows = [[a, c] for a, c in zip(cfg.alpha_grid, coverage)]
-    max_dev = float(np.max(np.abs(coverage - np.asarray(cfg.alpha_grid))))
-    return ExperimentResult(
-        columns=["alpha", "empirical_coverage"],
-        rows=rows,
-        summary={"max_abs_deviation": max_dev},
-    )
-
-
-# ---------------------------------------------------------------------------
 # coverage: P(||S - Sigma||_sup <= a(alpha)) at the applications scaling
 # ---------------------------------------------------------------------------
 
+# statistic of (U on the main half, Sigma), bootstrap scaling, and whether
+# the summary reports the curve's largest distance from the diagonal
+_CURVES = {
+    "pp_plot": (lambda u, sigma: sup_stat(u, sigma, sided="signed"), "raw", True),
+    "coverage": (lambda u, sigma: sup_norm(u.u - sigma), "applications", False),
+}
 
-def _coverage_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
-    tag = _TAGS["coverage"]
+
+def _curve_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
+    statistic, scaling, _ = _CURVES[cfg.experiment]
     model = cfg.build_model()
-    sigma = population_sigma(model)
-    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, 0)
-    main, train = split_sample(data, cfg.seed, tag, r, 1)
-    err = sup_norm(compute_u(main, CovarianceKernel()).u - sigma)
-    g = estimate_g_decoupled(main, train, CovarianceKernel())
-    draws = draw_bootstrap(
-        g, cfg.bootstrap_b, "applications", "all", cfg.seed, tag, r, 2
-    )
-    return np.array(
-        [1.0 if err <= quantile(draws, a).value else 0.0 for a in cfg.alpha_grid]
-    )
+    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, scaling=scaling)
+    stat = statistic(u, population_sigma(model))
+    return _hits(stat, draws, cfg.alpha_grid, operator.le)
 
 
-def run_coverage(cfg: ExperimentConfig) -> ExperimentResult:
-    hits = np.vstack(_map_reps(_coverage_rep, cfg, cfg.replications))
+def run_coverage_curve(cfg: ExperimentConfig) -> ExperimentResult:
+    hits = np.vstack(_map_reps(_curve_rep, cfg, cfg.replications))
     coverage = hits.mean(axis=0)
     rows = [[a, c] for a, c in zip(cfg.alpha_grid, coverage)]
+    summary = {}
+    if _CURVES[cfg.experiment][2]:
+        dev = np.abs(coverage - np.asarray(cfg.alpha_grid))
+        summary["max_abs_deviation"] = float(np.max(dev))
     return ExperimentResult(
-        columns=["alpha", "empirical_coverage"],
-        rows=rows,
-        summary={},
+        columns=["alpha", "empirical_coverage"], rows=rows, summary=summary
     )
 
 
@@ -141,15 +151,11 @@ def _nvh_rep(cfg: ExperimentConfig, r: int) -> tuple[float, float, float]:
     hajek_stat = float(np.sqrt(cfg.n) * np.max(m2 - sigma) / 2.0)
 
     # naive moment-matched Gaussian data
-    low = np.linalg.cholesky(sigma)
-    y = substream(cfg.seed, tag, r, 2).standard_normal((cfg.n, cfg.p)) @ low.T
-    naive_stat = sup_stat(compute_u(y, kernel), sigma, sided="signed")
-    return t_stat, naive_stat, hajek_stat
+    naive = naive_gaussian_ustat_draws(sigma, cfg.n, kernel, 1, cfg.seed, tag, r, 2)
+    return t_stat, naive[0], hajek_stat
 
 
 def run_naive_vs_hajek(cfg: ExperimentConfig) -> ExperimentResult:
-    from ..gaussian_approx import kolmogorov_distance
-
     res = np.array(_map_reps(_nvh_rep, cfg, cfg.replications))
     t_draws, naive_draws, hajek_draws = res[:, 0], res[:, 1], res[:, 2]
     ks_naive = kolmogorov_distance(t_draws, naive_draws)
@@ -210,16 +216,10 @@ def banded_model(cfg: ExperimentConfig) -> tuple[EllipticalModel, np.ndarray, in
 
 
 def _threshold_rep(cfg: ExperimentConfig, r: int) -> list[float]:
-    tag = _TAGS["threshold_eval"]
     model, sigma, zeta_p = banded_model(cfg)
     beta = cfg.beta
-    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, 0)
-    main, train = split_sample(data, cfg.seed, tag, r, 1)
-    s_hat = compute_u(main, CovarianceKernel()).u
-    g = estimate_g_decoupled(main, train, CovarianceKernel())
-    draws = draw_bootstrap(
-        g, cfg.bootstrap_b, "applications", "all", cfg.seed, tag, r, 2
-    )
+    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r)
+    s_hat = u.u
     a = quantile(draws, 1.0 - cfg.alpha)
     tau_star = select_tau_star(a, beta)
     est = threshold_cov(s_hat, tau_star)
@@ -282,25 +282,12 @@ def run_threshold_eval(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _test_size_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
-    tag = _TAGS["test_size"]
     model = cfg.build_model()
-    sigma0 = population_sigma(model)
-    alphas = np.asarray(cfg.alpha_grid)
+    levels = 1.0 - np.asarray(cfg.alpha_grid)
 
     # covariance test under H0: Sigma = Sigma0
-    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, 0)
-    main, train = split_sample(data, cfg.seed, tag, r, 1)
-    cov_kernel = CovarianceKernel()
-    stat_cov = sup_stat(
-        compute_u(main, cov_kernel), sigma0, off_diag_only=True, scaled=False
-    )
-    g = estimate_g_decoupled(main, train, cov_kernel)
-    draws = draw_bootstrap(
-        g, cfg.bootstrap_b, "applications", "offdiag", cfg.seed, tag, r, 2
-    )
-    cov_reject = np.array(
-        [1.0 if stat_cov >= quantile(draws, 1.0 - a).value else 0.0 for a in alphas]
-    )
+    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, restriction="offdiag")
+    stat_cov = sup_stat(u, population_sigma(model), off_diag_only=True, scaled=False)
 
     # Kendall test under independence (identity scale matrix, same family);
     # the population tau matrix has zero off-diagonal for any elliptical law
@@ -310,22 +297,17 @@ def _test_size_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
         nu=model.nu,
         epsilon=model.epsilon,
     )
-    ken_kernel = KendallKernel()
-    data_k = sample(ind_model, 2 * cfg.n, cfg.seed, tag, r, 3)
-    main_k, train_k = split_sample(data_k, cfg.seed, tag, r, 4)
+    u_k, draws_k = _bootstrap(
+        cfg, ind_model, KendallKernel(), r, stage=3, restriction="offdiag"
+    )
     # statistic on the kernel scale: U0 = T0 + 1 entrywise with T0 = I
-    u0 = np.eye(cfg.p) + 1.0
-    stat_ken = sup_stat(
-        compute_u(main_k, ken_kernel), u0, off_diag_only=True, scaled=False
+    stat_ken = sup_stat(u_k, np.eye(cfg.p) + 1.0, off_diag_only=True, scaled=False)
+    return np.concatenate(
+        [
+            _hits(stat_cov, draws, levels, operator.ge),
+            _hits(stat_ken, draws_k, levels, operator.ge),
+        ]
     )
-    g_k = estimate_g_decoupled(main_k, train_k, ken_kernel)
-    draws_k = draw_bootstrap(
-        g_k, cfg.bootstrap_b, "applications", "offdiag", cfg.seed, tag, r, 5
-    )
-    ken_reject = np.array(
-        [1.0 if stat_ken >= quantile(draws_k, 1.0 - a).value else 0.0 for a in alphas]
-    )
-    return np.concatenate([cov_reject, ken_reject])
 
 
 def run_test_size(cfg: ExperimentConfig) -> ExperimentResult:
@@ -348,49 +330,23 @@ def run_test_size(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _bootstrap_quantile_cov(cfg: ExperimentConfig, tag: int, r: int):
-    """Shared front end: sample, split, sample covariance and its bootstrap
-    quantile at level 1 - alpha (applications scaling)."""
-    model = cfg.build_model()
-    sigma = population_sigma(model)
-    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, 0)
-    main, train = split_sample(data, cfg.seed, tag, r, 1)
-    s_hat = compute_u(main, CovarianceKernel()).u
-    g = estimate_g_decoupled(main, train, CovarianceKernel())
-    draws = draw_bootstrap(
-        g, cfg.bootstrap_b, "applications", "all", cfg.seed, tag, r, 2
-    )
-    return sigma, s_hat, quantile(draws, 1.0 - cfg.alpha)
-
-
 def _is_zero(estimate: np.ndarray) -> float:
     """1.0 when no entry exceeds the support tolerance (all-zero estimate)."""
     return float(np.all(np.abs(estimate) <= SUPPORT_TOL))
 
 
-def _l1_regime_summary(arr: np.ndarray, ok: np.ndarray) -> dict[str, float]:
-    """All-zero share among feasible replications (lambda* large enough for
-    theta = 0 to be feasible) and the lambda* range; rows hold lambda* in
-    column 1 and the all-zero flag in column 6."""
-    return {
-        "zero_solution_rate": float(arr[ok, 6].mean()) if ok.any() else np.nan,
-        "lambda_star_min": float(arr[:, 1].min()),
-        "lambda_star_max": float(arr[:, 1].max()),
-    }
-
-
-def _clime_rep(cfg: ExperimentConfig, r: int) -> list[float]:
-    sigma, s_hat, q = _bootstrap_quantile_cov(cfg, _TAGS["clime_eval"], r)
+def _clime_row(
+    cfg: ExperimentConfig, sigma: np.ndarray, s_hat: np.ndarray, q: QuantileEstimate
+) -> list[float]:
     omega = np.linalg.inv(sigma)
     m_bound = cfg.m_bound if cfg.m_bound is not None else matrix_l1_norm(omega)
     lam = select_lambda_star(q, m_bound)
     try:
         est = solve_clime(s_hat, lam)
     except ClimeInfeasibleError:
-        return [float(r), lam, np.nan, np.nan, np.nan, 0.0, np.nan]
+        return [lam, np.nan, np.nan, np.nan, 0.0, np.nan]
     metrics = error_metrics(est, omega)
     return [
-        float(r),
         lam,
         metrics["spectral"],
         metrics["frob_per_p"],
@@ -400,31 +356,9 @@ def _clime_rep(cfg: ExperimentConfig, r: int) -> list[float]:
     ]
 
 
-def run_clime_eval(cfg: ExperimentConfig) -> ExperimentResult:
-    rows = _map_reps(_clime_rep, cfg, cfg.replications)
-    arr = np.array(rows)
-    ok = arr[:, 5] == 1.0
-    return ExperimentResult(
-        columns=[
-            "replication",
-            "lambda_star",
-            "spectral_err",
-            "frob_err_per_p",
-            "sup_err",
-            "feasible",
-            "zero_solution",
-        ],
-        rows=rows,
-        summary={
-            "feasible_rate": float(ok.mean()),
-            "mean_spectral_err": float(arr[ok, 2].mean()) if ok.any() else np.nan,
-            **_l1_regime_summary(arr, ok),
-        },
-    )
-
-
-def _linfun_rep(cfg: ExperimentConfig, r: int) -> list[float]:
-    sigma, s_hat, q = _bootstrap_quantile_cov(cfg, _TAGS["linfun_eval"], r)
+def _linfun_row(
+    cfg: ExperimentConfig, sigma: np.ndarray, s_hat: np.ndarray, q: QuantileEstimate
+) -> list[float]:
     b = np.zeros(cfg.p)
     b[0] = 1.0
     theta = np.linalg.solve(sigma, b)
@@ -432,10 +366,9 @@ def _linfun_rep(cfg: ExperimentConfig, r: int) -> list[float]:
     lam = select_lambda_star(q, m_bound)
     sol = solve_dantzig_linfun(s_hat, b, lam)
     if sol.theta is None:
-        return [float(r), lam, np.nan, np.nan, np.nan, 0.0, np.nan]
+        return [lam, np.nan, np.nan, np.nan, 0.0, np.nan]
     diff = sol.theta - theta
     return [
-        float(r),
         lam,
         float(np.sum(np.abs(diff))),
         float(np.linalg.norm(diff)),
@@ -445,25 +378,43 @@ def _linfun_rep(cfg: ExperimentConfig, r: int) -> list[float]:
     ]
 
 
-def run_linfun_eval(cfg: ExperimentConfig) -> ExperimentResult:
-    rows = _map_reps(_linfun_rep, cfg, cfg.replications)
+# row of (cfg, Sigma, S, a(1 - alpha)) after the replication index, its three
+# error columns, and the one whose mean over feasible replications is reported
+_L1 = {
+    "clime_eval": (
+        _clime_row,
+        ["spectral_err", "frob_err_per_p", "sup_err"],
+        "spectral_err",
+    ),
+    "linfun_eval": (_linfun_row, ["err_l1", "err_l2", "err_linf"], "err_linf"),
+}
+
+
+def _l1_rep(cfg: ExperimentConfig, r: int) -> list[float]:
+    model = cfg.build_model()
+    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r)
+    q = quantile(draws, 1.0 - cfg.alpha)
+    return [float(r), *_L1[cfg.experiment][0](cfg, population_sigma(model), u.u, q)]
+
+
+def run_l1_eval(cfg: ExperimentConfig) -> ExperimentResult:
+    _, errors, reported = _L1[cfg.experiment]
+    columns = ["replication", "lambda_star", *errors, "feasible", "zero_solution"]
+    rows = _map_reps(_l1_rep, cfg, cfg.replications)
     arr = np.array(rows)
     ok = arr[:, 5] == 1.0
+    mean_err = arr[ok, columns.index(reported)].mean() if ok.any() else np.nan
     return ExperimentResult(
-        columns=[
-            "replication",
-            "lambda_star",
-            "err_l1",
-            "err_l2",
-            "err_linf",
-            "feasible",
-            "zero_solution",
-        ],
+        columns=columns,
         rows=rows,
         summary={
             "feasible_rate": float(ok.mean()),
-            "mean_err_linf": float(arr[ok, 4].mean()) if ok.any() else np.nan,
-            **_l1_regime_summary(arr, ok),
+            f"mean_{reported}": float(mean_err),
+            # all-zero share among feasible replications (lambda* large
+            # enough for theta = 0 to be feasible) and the lambda* range
+            "zero_solution_rate": float(arr[ok, 6].mean()) if ok.any() else np.nan,
+            "lambda_star_min": float(arr[:, 1].min()),
+            "lambda_star_max": float(arr[:, 1].max()),
         },
     )
 
@@ -517,13 +468,13 @@ def run_maximal_ineq_scaling(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    "pp_plot": run_pp_plot,
-    "coverage": run_coverage,
+    "pp_plot": run_coverage_curve,
+    "coverage": run_coverage_curve,
     "naive_vs_hajek": run_naive_vs_hajek,
     "threshold_eval": run_threshold_eval,
     "test_size": run_test_size,
-    "clime_eval": run_clime_eval,
-    "linfun_eval": run_linfun_eval,
+    "clime_eval": run_l1_eval,
+    "linfun_eval": run_l1_eval,
     "maximal_ineq_scaling": run_maximal_ineq_scaling,
 }
 

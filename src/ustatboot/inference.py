@@ -11,11 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, split_sample
-from .kernels import CovarianceKernel, Kernel, KendallKernel, check_data
+from .bootstrap import bootstrap_halves, quantile, split_sample
+from .kernels import CovarianceKernel, Kernel, KendallKernel
 from .matstat import as_sym
 from .rngutil import SeedLike
-from .ustat import compute_u, sup_stat
+from .ustat import sup_stat
 
 __all__ = ["TestResult", "test_covariance", "test_kendall", "test_ustat_mean"]
 
@@ -41,14 +41,13 @@ def _run_test(
 ) -> TestResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    data = check_data(data, min_rows=4)
     main, train = split_sample(data, seed, *key, 0)
-    u = compute_u(main, kernel)
+    u, draws = bootstrap_halves(
+        main, train, kernel, b, "applications", restriction, seed, *key, 1
+    )
     stat = sup_stat(
         u, u0, off_diag_only=(restriction == "offdiag"), sided="abs", scaled=False
     )
-    g = estimate_g_decoupled(main, train, kernel)
-    draws = draw_bootstrap(g, b, "applications", restriction, seed, *key, 1)
     crit = quantile(draws, 1.0 - alpha).value
     # the boundary tie counts as a rejection, matching statistic >= critical
     return TestResult(

@@ -26,9 +26,9 @@ from ustatboot.estimators import solve_clime, solve_dantzig_linfun
 from ustatboot.gaussian_approx import analytic_gamma_g_elliptical, estimate_gamma_g
 from ustatboot.harness.config import default_config
 from ustatboot.harness.experiments import (
+    run_coverage_curve,
     run_maximal_ineq_scaling,
     run_naive_vs_hajek,
-    run_pp_plot,
     run_test_size,
     run_threshold_eval,
 )
@@ -140,7 +140,7 @@ def test_criterion_03_gamma_g_crosscheck():
 
 def test_criterion_04_pp_plot():
     cfg = default_config("pp_plot")
-    res = run_pp_plot(cfg)
+    res = run_coverage_curve(cfg)
     dev = res.summary["max_abs_deviation"]
     report(4, dev <= 0.06, f"max |coverage - alpha| = {dev:.4f} (<=0.06), "
                            f"{cfg.replications} reps")

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from ustatboot.bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, split_sample
+from ustatboot.distributions import population_sigma, sample
 from ustatboot.harness.cli import main as cli_main
 from ustatboot.harness.config import (
     EXPERIMENT_NAMES,
@@ -15,6 +17,9 @@ from ustatboot.harness.config import (
     load_config,
 )
 from ustatboot.harness.experiments import EXPERIMENTS, banded_model, run_experiment
+from ustatboot.kernels import CovarianceKernel
+from ustatboot.matstat import sup_norm
+from ustatboot.ustat import compute_u
 
 
 def small(experiment, **over):
@@ -108,6 +113,33 @@ def test_worker_count_does_not_change_results():
     )
 
 
+def test_coverage_replication_follows_stream_layout():
+    # replication r samples on (tag, r, 0), splits on (tag, r, 1) and draws
+    # on (tag, r, 2), with the experiment's index as its tag
+    tag, kernel = EXPERIMENT_NAMES.index("coverage"), CovarianceKernel()
+    for seed in range(4):
+        cfg = small("coverage", replications=1, seed=seed)
+        model = cfg.build_model()
+        data = sample(model, 2 * cfg.n, seed, tag, 0, 0)
+        main, train = split_sample(data, seed, tag, 0, 1)
+        err = sup_norm(compute_u(main, kernel).u - population_sigma(model))
+        g = estimate_g_decoupled(main, train, kernel)
+        draws = draw_bootstrap(g, cfg.bootstrap_b, "applications", "all", seed, tag, 0, 2)
+        expected = [
+            [a, 1.0 if err <= quantile(draws, a).value else 0.0] for a in cfg.alpha_grid
+        ]
+        assert run_experiment(cfg).rows == expected
+
+
+@pytest.mark.parametrize("name", ["clime_eval", "linfun_eval"])
+def test_l1_defaults_are_not_degenerate(name):
+    # lambda* < 1, so theta = 0 is infeasible and no estimate is all zero
+    cfg = dataclasses.replace(default_config(name), replications=2)
+    summary = run_experiment(cfg).summary
+    assert summary["lambda_star_max"] < 1
+    assert summary["zero_solution_rate"] == 0
+
+
 def test_coverage_curves_nondecreasing():
     for name in ("pp_plot", "coverage"):
         cfg = small(name, replications=12, bootstrap_b=40)
@@ -160,6 +192,25 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["pp_plot", "--config", str(tmp_path / "none.json")]) == 2
     bad.write_text("not json")
     assert cli_main(["pp_plot", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "name, over",
+    [
+        ("pp_plot", {"alpha_grid": []}),
+        ("maximal_ineq_scaling", {"n_grid": []}),
+        ("maximal_ineq_scaling", {"n_grid": [50]}),
+        ("maximal_ineq_scaling", {"n_grid": [50, 50]}),
+        ("clime_eval", {"m_bound": -1}),
+        ("linfun_eval", {"m_bound": 0}),
+    ],
+)
+def test_cli_degenerate_config_exit_code(tmp_path, name, over):
+    cfg = small(name, replications=1).to_dict()
+    cfg.update(over)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main([name, "--config", str(path)]) == 2
 
 
 def test_cli_requires_experiment():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ustatboot.bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, split_sample
 from ustatboot.distributions import build_v, contaminated_normal, population_sigma, sample
 from ustatboot.inference import (
     test_covariance as covariance_test,
@@ -8,6 +9,7 @@ from ustatboot.inference import (
     test_ustat_mean as ustat_mean_test,
 )
 from ustatboot.kernels import CovarianceKernel
+from ustatboot.ustat import compute_u, sup_stat
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +26,20 @@ def test_covariance_test_deterministic(m1_data):
     assert a == b
     assert a.b == 100 and a.alpha == 0.05
     assert a.statistic >= 0 and a.critical_value >= 0
+
+
+def test_covariance_test_follows_stream_layout(m1_data):
+    # the split uses the substream (seed, *key, 0) and the draws (seed, *key, 1)
+    model, data = m1_data
+    sigma0 = population_sigma(model)
+    seed, key, kernel = 11, (7, 3), CovarianceKernel()
+    res = covariance_test(data, sigma0, 0.1, 50, seed, *key)
+    main, train = split_sample(data, seed, *key, 0)
+    stat = sup_stat(compute_u(main, kernel), sigma0, off_diag_only=True, scaled=False)
+    g = estimate_g_decoupled(main, train, kernel)
+    draws = draw_bootstrap(g, 50, "applications", "offdiag", seed, *key, 1)
+    assert res.statistic == stat
+    assert res.critical_value == quantile(draws, 0.9).value
 
 
 def test_covariance_test_rejects_gross_violation(m1_data):

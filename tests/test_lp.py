@@ -187,6 +187,21 @@ def _record_phases(monkeypatch):
     return seen
 
 
+def test_ratio_tie_leaves_smallest_basic_index():
+    # both rows tie on ratio 1 for the entering column 0; Bland's rule makes
+    # the later row, whose basic variable 1 has the smaller index, leave
+    tab = np.array(
+        [
+            [1.0, 0.0, 1.0, 1.0],
+            [1.0, 1.0, 0.0, 1.0],
+            [-1.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    basis = np.array([2, 1])
+    assert lp._simplex(tab, basis, 3) == ("optimal", 1)
+    np.testing.assert_array_equal(basis, [2, 0])
+
+
 def test_clime_shaped_lp_takes_one_artificial(monkeypatch):
     # CLIME column k: min |theta|_1 s.t. |S theta - e_k|_inf <= lam, theta =
     # theta+ - theta-; with 0 < lam < 1 only the row lam - 1 is negative
