@@ -22,7 +22,7 @@ import numpy as np
 
 from .kernels import Kernel, check_data
 from .matstat import vech, vech_pairs
-from .rngutil import SeedLike, substream
+from .rngutil import SeedLike, substream, substream_normals
 from .ustat import UStatResult, compute_u
 
 __all__ = [
@@ -106,9 +106,10 @@ def estimate_g_decoupled(
         raise ValueError(
             f"main and train shapes differ: {main.shape} vs {train.shape}"
         )
-    cross = kernel.cross_mean(main, train)
+    g_hat = kernel.cross_mean(main, train)  # a new array, centered in place
     train_u = kernel.u_stat(train)
-    return DecoupledGEstimates(g_hat=cross - train_u, train_u=train_u)
+    g_hat -= train_u
+    return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
 
 
 def _multiplier_matrix(g: DecoupledGEstimates, restriction: str) -> np.ndarray:
@@ -135,21 +136,21 @@ def draw_bootstrap(
     *key: int,
 ) -> BootstrapDraws:
     """Generate b multiplier draws; draw d uses the substream (seed, *key, d)
-    so results do not depend on execution order or parallelism."""
+    so results do not depend on execution order or parallelism.  All b
+    multiplier vectors form one (b, n) matrix, and the draws are one GEMM
+    with the (n, n_entries) matrix of ghat entries."""
     if b < 1:
         raise ValueError("b must be >= 1")
     if scaling not in SCALINGS:
         raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
     mat = _multiplier_matrix(g, restriction)
     n = g.n
-    values = np.empty(b)
-    for d in range(b):
-        e = substream(seed, *key, d).standard_normal(n)
-        s = e @ mat
-        if scaling == "raw":
-            values[d] = np.max(s) / math.sqrt(n)
-        else:
-            values[d] = 2.0 * np.max(np.abs(s)) / n
+    s = substream_normals(seed, *key, rows=b, cols=n) @ mat
+    if scaling == "raw":
+        values = s.max(axis=1) / math.sqrt(n)
+    else:
+        # max |s| per draw without an |s| temporary
+        values = 2.0 * np.maximum(s.max(axis=1), -s.min(axis=1)) / n
     values.sort()
     return BootstrapDraws(values=values, scaling=scaling, restriction=restriction)
 

@@ -94,6 +94,31 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     }
 
 
+def _dantzig_block(s_hat: np.ndarray) -> np.ndarray:
+    """Constraint block [[S, -S], [-S, S]] of |S w - b|_inf <= lambda in
+    w = w+ - w-; it does not depend on b or lambda."""
+    return np.block([[s_hat, -s_hat], [-s_hat, s_hat]])
+
+
+def _solve_dantzig(
+    s_hat: np.ndarray, a_ub: np.ndarray, b: np.ndarray, lam: float
+) -> LinFunSolution:
+    """The Dantzig LP for validated S, its constraint block and b."""
+    p = b.size
+    b_ub = np.concatenate([lam + b, lam - b])
+    sol = solve_lp(LpProblem(c=np.ones(2 * p), a_ub=a_ub, b_ub=b_ub))
+    if sol.status != "optimal":
+        return LinFunSolution(theta=None, lam=lam, l1=None, feasible=False)
+    theta = sol.x[:p] - sol.x[p:]
+    residual = float(np.max(np.abs(s_hat @ theta - b)))
+    return LinFunSolution(
+        theta=theta,
+        lam=lam,
+        l1=float(np.sum(np.abs(theta))),
+        feasible=residual <= lam + FEAS_TOL,
+    )
+
+
 def solve_dantzig_linfun(
     s_hat: np.ndarray, b: np.ndarray, lam: float
 ) -> LinFunSolution:
@@ -109,31 +134,26 @@ def solve_dantzig_linfun(
     p = b.size
     if s_hat.shape != (p, p):
         raise ValueError(f"S shape {s_hat.shape} incompatible with b length {p}")
-    a_ub = np.block([[s_hat, -s_hat], [-s_hat, s_hat]])
-    b_ub = np.concatenate([lam + b, lam - b])
-    sol = solve_lp(LpProblem(c=np.ones(2 * p), a_ub=a_ub, b_ub=b_ub))
-    if sol.status != "optimal":
-        return LinFunSolution(theta=None, lam=lam, l1=None, feasible=False)
-    theta = sol.x[:p] - sol.x[p:]
-    residual = float(np.max(np.abs(s_hat @ theta - b)))
-    return LinFunSolution(
-        theta=theta,
-        lam=lam,
-        l1=float(np.sum(np.abs(theta))),
-        feasible=residual <= lam + FEAS_TOL,
-    )
+    return _solve_dantzig(s_hat, _dantzig_block(s_hat), b, lam)
 
 
 def solve_clime(s_hat: np.ndarray, lam: float) -> np.ndarray:
     """CLIME precision-matrix estimate: p column problems
     min |theta|_1 s.t. |S theta - e_k|_inf <= lambda, symmetrized by keeping
-    the smaller-magnitude entry of each (m, k) pair."""
+    the smaller-magnitude entry of each (m, k) pair.  The p LPs share one
+    constraint block and differ only in e_k."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
     s_hat = np.asarray(s_hat, dtype=np.float64)
     p = s_hat.shape[0]
+    if s_hat.shape != (p, p):
+        raise ValueError(f"S must be square, got shape {s_hat.shape}")
+    a_ub = _dantzig_block(s_hat)
+    eye = np.eye(p)
     columns = np.empty((p, p))
     bad: list[int] = []
     for k in range(p):
-        sol = solve_dantzig_linfun(s_hat, np.eye(p)[k], lam)
+        sol = _solve_dantzig(s_hat, a_ub, eye[k], lam)
         if sol.theta is None or not sol.feasible:
             bad.append(k)
         else:

@@ -98,7 +98,8 @@ class Kernel:
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """For every row x_i of ``xs``, the mean over rows y_j of ``ys`` of
-        h(x_i, y_j).  Returns an (n_xs, p, p) array."""
+        h(x_i, y_j).  Returns a new (n_xs, p, p) float64 array, which the
+        caller may modify in place."""
         xs = check_data(xs, min_rows=1)
         ys = check_data(ys, min_rows=1)
         if xs.shape[1] != ys.shape[1]:

@@ -54,6 +54,18 @@ def test_estimate_g_decoupled_formula():
     assert g.n == 6 and g.p == 3
 
 
+@pytest.mark.parametrize("kernel", [CovarianceKernel(), KendallKernel()])
+def test_estimate_g_decoupled_is_cross_mean_minus_u_stat(kernel):
+    rng = np.random.default_rng(5)
+    main = rng.standard_normal((30, 4))
+    train = rng.standard_normal((30, 4))
+    g = estimate_g_decoupled(main, train, kernel)
+    np.testing.assert_array_equal(
+        g.g_hat, kernel.cross_mean(main, train) - kernel.u_stat(train)
+    )
+    np.testing.assert_array_equal(g.train_u, kernel.u_stat(train))
+
+
 def test_estimate_g_shape_mismatch():
     with pytest.raises(ValueError):
         estimate_g_decoupled(np.zeros((4, 2)), np.zeros((5, 2)), CovarianceKernel())
@@ -110,6 +122,40 @@ def test_draw_bootstrap_raw_scaling_is_signed_max():
         for d in range(5)
     ]
     np.testing.assert_allclose(draws.values, np.sort(manual), atol=1e-12)
+
+
+def _draw_loop(g, b, scaling, restriction, seed, *key):
+    """Per-draw reference: one substream and one mat-vec per draw."""
+    from ustatboot.matstat import vech, vech_pairs
+    from ustatboot.rngutil import substream
+
+    flat = vech(g.g_hat)
+    if restriction == "offdiag":
+        rows, cols = vech_pairs(g.p)
+        flat = flat[:, rows != cols]
+    values = []
+    for d in range(b):
+        s = substream(seed, *key, d).standard_normal(g.n) @ flat
+        if scaling == "raw":
+            values.append(np.max(s) / math.sqrt(g.n))
+        else:
+            values.append(2.0 * np.max(np.abs(s)) / g.n)
+    return np.sort(values)
+
+
+@pytest.mark.parametrize("kernel", [CovarianceKernel(), KendallKernel()])
+@pytest.mark.parametrize("b", [1, 7, 200])
+@pytest.mark.parametrize("scaling", ["raw", "applications"])
+@pytest.mark.parametrize("restriction", ["all", "offdiag"])
+def test_draw_bootstrap_matches_per_draw_loop(kernel, b, scaling, restriction):
+    rng = np.random.default_rng(6)
+    g = estimate_g_decoupled(
+        rng.standard_normal((40, 5)), rng.standard_normal((40, 5)), kernel
+    )
+    draws = draw_bootstrap(g, b, scaling, restriction, 17, 3, 2)
+    np.testing.assert_allclose(
+        draws.values, _draw_loop(g, b, scaling, restriction, 17, 3, 2), atol=1e-12
+    )
 
 
 def test_draw_bootstrap_offdiag_ignores_diagonal():

@@ -149,6 +149,25 @@ def test_clime_symmetrization_picks_smaller_magnitude():
     assert np.max(np.abs(sigma @ omega - np.eye(2))) <= 0.05 + 0.05
 
 
+def test_clime_equals_column_dantzig_solutions():
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((30, 5))
+    s = a.T @ a / 30
+    lam = 0.1
+    cols = np.column_stack(
+        [solve_dantzig_linfun(s, np.eye(5)[k], lam).theta for k in range(5)]
+    )
+    expected = np.where(np.abs(cols) <= np.abs(cols.T), cols, cols.T)
+    np.testing.assert_array_equal(solve_clime(s, lam), expected)
+
+
+def test_clime_validation():
+    with pytest.raises(ValueError):
+        solve_clime(np.eye(2), -0.1)
+    with pytest.raises(ValueError):
+        solve_clime(np.ones((2, 3)), 0.1)
+
+
 def test_clime_infeasible_reports_columns():
     # S theta = e_k with S = 0 is infeasible at lambda < 1
     with pytest.raises(ClimeInfeasibleError) as err:

@@ -89,6 +89,25 @@ def test_sample_z_max_deterministic_and_restriction():
     assert np.all(c >= 0)
 
 
+@pytest.mark.parametrize("sided", ["signed", "abs"])
+@pytest.mark.parametrize("restriction", ["all", "offdiag"])
+def test_sample_z_max_matches_per_draw_loop(sided, restriction):
+    from ustatboot.matstat import cholesky, vech_pairs
+    from ustatboot.rngutil import substream
+
+    sigma = 0.5 ** np.abs(np.subtract.outer(np.arange(4), np.arange(4)))
+    gamma = analytic_gamma_g_elliptical(sigma, 0.3)
+    low = cholesky(gamma.cov)
+    rows, cols = vech_pairs(4)
+    keep = rows != cols if restriction == "offdiag" else slice(None)
+    expected = []
+    for d in range(50):
+        z = (low @ substream(8, 1, d).standard_normal(gamma.p_prime))[keep]
+        expected.append(np.max(z) if sided == "signed" else np.max(np.abs(z)))
+    got = sample_z_max(gamma, 50, sided, restriction, 8, 1)
+    np.testing.assert_allclose(got, np.sort(expected), atol=1e-12)
+
+
 def test_sample_z_max_p_cap():
     gamma = GammaG(cov=np.eye(6))
     with pytest.raises(ValueError):
