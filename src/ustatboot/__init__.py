@@ -44,7 +44,6 @@ from .matstat import (
     NotPositiveDefiniteError,
     frobenius_norm,
     matrix_l1_norm,
-    off_sup_norm,
     spectral_norm,
     sup_norm,
     unvech,
@@ -98,7 +97,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "frobenius_norm",
     "matrix_l1_norm",
-    "off_sup_norm",
     "spectral_norm",
     "sup_norm",
     "unvech",

@@ -5,12 +5,16 @@ Hajek projection at each main row against the training half (the decoupled
 estimator), then perturb the estimates with iid standard normal multipliers
 and read quantiles off the sorted draws.
 
-Two scalings of the multiplier statistic are implemented:
+Two scalings of the multiplier statistic are implemented, each paired with
+the centred maximum of ``ustat.sup_stat`` whose law it approximates:
 
-* ``raw``          -- signed max of n^{-1/2} sum_i ghat_{i,mk} e_i (the scale
-  of the Gaussian-approximation theory);
-* ``applications`` -- 2 n^{-1} max |sum_i ghat_{i,mk} e_i| (the scale of the
-  statistical applications, matching ||U - EU||).
+* ``raw``          -- signed max of n^{-1/2} sum_i ghat_{i,mk} e_i, for
+  sqrt(n) max(U - EU) / 2 (the scale of the Gaussian-approximation theory);
+* ``applications`` -- 2 n^{-1} max |sum_i ghat_{i,mk} e_i|, for max |U - EU|
+  (the scale of the statistical applications).
+
+``BootstrapDraws.statistic`` takes that maximum at the draws' own scaling and
+restriction, so a statistic and its critical values cannot disagree on them.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, check_data
-from .matstat import vech, vech_pairs
+from .matstat import vech
 from .rngutil import SeedLike, substream, substream_normals
-from .ustat import UStatResult, compute_u
+from .ustat import UStatResult, check_scaling, compute_u, sup_stat, vech_columns
 
 __all__ = [
     "DecoupledGEstimates",
@@ -35,10 +39,6 @@ __all__ = [
     "bootstrap_halves",
     "quantile",
 ]
-
-SCALINGS = ("raw", "applications")
-RESTRICTIONS = ("all", "offdiag")
-
 
 @dataclass(frozen=True)
 class DecoupledGEstimates:
@@ -68,6 +68,10 @@ class BootstrapDraws:
     @property
     def b(self) -> int:
         return self.values.shape[0]
+
+    def statistic(self, u: UStatResult, target: np.ndarray) -> float:
+        """The centred maximum of U whose law these draws approximate."""
+        return sup_stat(u, target, self.scaling, self.restriction)
 
 
 @dataclass(frozen=True)
@@ -112,21 +116,6 @@ def estimate_g_decoupled(
     return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
 
 
-def _multiplier_matrix(g: DecoupledGEstimates, restriction: str) -> np.ndarray:
-    """(n, n_entries) matrix of ghat entries over which the max is taken.
-
-    ghat_i is symmetric, so the half-vectorization carries every distinct
-    entry; the off-diagonal restriction keeps pairs with j > k.
-    """
-    flat = vech(g.g_hat)
-    if restriction == "all":
-        return flat
-    if restriction == "offdiag":
-        rows, cols = vech_pairs(g.p)
-        return flat[:, rows != cols]
-    raise ValueError(f"restriction must be one of {RESTRICTIONS}, got {restriction!r}")
-
-
 def draw_bootstrap(
     g: DecoupledGEstimates,
     b: int,
@@ -141,9 +130,9 @@ def draw_bootstrap(
     with the (n, n_entries) matrix of ghat entries."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    if scaling not in SCALINGS:
-        raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
-    mat = _multiplier_matrix(g, restriction)
+    check_scaling(scaling)
+    # ghat_i is symmetric, so its half-vectorization holds every distinct entry
+    mat = vech(g.g_hat)[:, vech_columns(g.p, restriction)]
     n = g.n
     s = substream_normals(seed, *key, rows=b, cols=n) @ mat
     if scaling == "raw":

@@ -14,7 +14,7 @@ import numpy as np
 from .kernels import CovarianceKernel, Kernel
 from .matstat import NotPositiveDefiniteError, as_sym, cholesky, vech, vech_pairs
 from .rngutil import SeedLike, substream, substream_normals
-from .ustat import compute_u, sup_stat
+from .ustat import compute_u, sup_stat, vech_columns
 
 __all__ = [
     "GammaG",
@@ -108,29 +108,23 @@ def sample_z_max(
     restriction: str = "all",
     seed: SeedLike = 0,
     *key: int,
-    p_cap: int = DEFAULT_GAMMA_P_CAP,
 ) -> np.ndarray:
     """Sorted draws of the max (signed or absolute) over vech coordinates of
     N(0, Gamma_g) vectors.  One Gaussian vector per draw: the normalized sum
     n^{-1/2} sum Z_i is itself N(0, Gamma_g).  Draw d is the Cholesky factor
-    times the normals of substream (seed, *key, d); all b are one GEMM."""
+    times the normals of substream (seed, *key, d); all b are one GEMM.
+    Raises ValueError for p above ``DEFAULT_GAMMA_P_CAP``."""
     if b < 1:
         raise ValueError("b must be >= 1")
     if sided not in ("signed", "abs"):
         raise ValueError(f"sided must be 'signed' or 'abs', got {sided!r}")
     p = _p_from_p_prime(gamma.p_prime)
-    if p > p_cap:
+    if p > DEFAULT_GAMMA_P_CAP:
         raise ValueError(
-            f"p={p} exceeds the Gamma_g sampling cap {p_cap}; "
+            f"p={p} exceeds the Gamma_g sampling cap {DEFAULT_GAMMA_P_CAP}; "
             "use the wild bootstrap for large p"
         )
-    if restriction == "offdiag":
-        rows, cols = vech_pairs(p)
-        keep = rows != cols
-    elif restriction == "all":
-        keep = slice(None)
-    else:
-        raise ValueError(f"unknown restriction {restriction!r}")
+    keep = vech_columns(p, restriction)
     if not np.any(gamma.cov):
         return np.zeros(b)
     low = _chol_with_jitter(gamma.cov)
@@ -162,13 +156,12 @@ def naive_gaussian_ustat_draws(
     seed: SeedLike = 0,
     *key: int,
     target: np.ndarray | None = None,
-    sided: str = "signed",
-    off_diag_only: bool = False,
 ) -> np.ndarray:
-    """Sup-statistic draws from moment-matched Gaussian data: each
-    replication simulates n iid N(0, Sigma) rows, computes the kernel
-    U-statistic and centers it at ``target`` (E U under the Gaussian law;
-    defaults to Sigma for the covariance kernel)."""
+    """Draws of the raw sup statistic sqrt(n) max(U - target) / 2 from
+    moment-matched Gaussian data: each replication simulates n iid
+    N(0, Sigma) rows, computes the kernel U-statistic and centers it at
+    ``target`` (E U under the Gaussian law; defaults to Sigma for the
+    covariance kernel)."""
     sigma = as_sym(sigma)
     if target is None:
         if isinstance(kernel, CovarianceKernel):
@@ -184,7 +177,5 @@ def naive_gaussian_ustat_draws(
     draws = np.empty(replications)
     for r in range(replications):
         y = substream(seed, *key, r).standard_normal((n, sigma.shape[0])) @ low.T
-        draws[r] = sup_stat(
-            compute_u(y, kernel), target, off_diag_only=off_diag_only, sided=sided
-        )
+        draws[r] = sup_stat(compute_u(y, kernel), target, "raw")
     return draws

@@ -95,9 +95,6 @@ def main(argv: list[str] | None = None) -> int:
 
     overrides = {}
     if args.seed is not None:
-        if args.seed < 0:
-            print("error: --seed must be a nonnegative integer", file=sys.stderr)
-            return EXIT_CONFIG
         overrides["seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers

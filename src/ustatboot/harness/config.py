@@ -53,6 +53,11 @@ def _banded_ar_model(p: int) -> dict[str, Any]:
     }
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, which is an int subclass
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved parameters for one experiment run."""
@@ -83,9 +88,17 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {EXPERIMENT_NAMES}"
             )
-        for name in ("n", "p", "replications", "bootstrap_b", "workers", "band_k0"):
-            if int(getattr(self, name)) < 1:
+        counts = ("n", "p", "replications", "bootstrap_b", "workers", "band_k0")
+        for name in (*counts, "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if not all(_is_int(n) for n in self.n_grid):
+            raise ConfigError("n_grid values must be integers")
+        for name in counts:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.alpha_grid:
             raise ConfigError("alpha_grid must not be empty")
         if not all(0.0 < a < 1.0 for a in self.alpha_grid):
@@ -94,9 +107,9 @@ class ExperimentConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError("beta must lie in (0, 1]")
-        if any(int(n) < 4 for n in self.n_grid):
+        if any(n < 4 for n in self.n_grid):
             raise ConfigError("n_grid values must be >= 4")
-        if len({int(n) for n in self.n_grid}) < 2:
+        if len(set(self.n_grid)) < 2:
             raise ConfigError("n_grid needs at least two distinct sizes for a slope")
         if self.m_bound is not None and not self.m_bound > 0:
             raise ConfigError("m_bound must be > 0")

@@ -101,19 +101,16 @@ def _hits(
 # coverage: P(||S - Sigma||_sup <= a(alpha)) at the applications scaling
 # ---------------------------------------------------------------------------
 
-# statistic of (U on the main half, Sigma), bootstrap scaling, and whether
-# the summary reports the curve's largest distance from the diagonal
-_CURVES = {
-    "pp_plot": (lambda u, sigma: sup_stat(u, sigma, sided="signed"), "raw", True),
-    "coverage": (lambda u, sigma: sup_norm(u.u - sigma), "applications", False),
-}
+# bootstrap scaling (and so the statistic) and whether the summary reports
+# the curve's largest distance from the diagonal
+_CURVES = {"pp_plot": ("raw", True), "coverage": ("applications", False)}
 
 
 def _curve_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
-    statistic, scaling, _ = _CURVES[cfg.experiment]
+    scaling, _ = _CURVES[cfg.experiment]
     model = cfg.build_model()
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, scaling=scaling)
-    stat = statistic(u, population_sigma(model))
+    stat = draws.statistic(u, population_sigma(model))
     return _hits(stat, draws, cfg.alpha_grid, operator.le)
 
 
@@ -122,7 +119,7 @@ def run_coverage_curve(cfg: ExperimentConfig) -> ExperimentResult:
     coverage = hits.mean(axis=0)
     rows = [[a, c] for a, c in zip(cfg.alpha_grid, coverage)]
     summary = {}
-    if _CURVES[cfg.experiment][2]:
+    if _CURVES[cfg.experiment][1]:
         dev = np.abs(coverage - np.asarray(cfg.alpha_grid))
         summary["max_abs_deviation"] = float(np.max(dev))
     return ExperimentResult(
@@ -142,13 +139,13 @@ def _nvh_rep(cfg: ExperimentConfig, r: int) -> tuple[float, float, float]:
     kernel = CovarianceKernel()
 
     data = sample(model, cfg.n, cfg.seed, tag, r, 0)
-    t_stat = sup_stat(compute_u(data, kernel), sigma, sided="signed")
+    t_stat = sup_stat(compute_u(data, kernel), sigma, "raw")
 
     # Hajek leading term with the known-Sigma population projection:
     # n^{-1/2} sum_i g(X_i) = sqrt(n) (mean_i x_i x_i^T - Sigma) / 2
     data_h = sample(model, cfg.n, cfg.seed, tag, r, 1)
     m2 = (data_h.T @ data_h) / cfg.n
-    hajek_stat = float(np.sqrt(cfg.n) * np.max(m2 - sigma) / 2.0)
+    hajek_stat = sup_stat(UStatResult(u=m2, n=cfg.n), sigma, "raw")
 
     # naive moment-matched Gaussian data
     naive = naive_gaussian_ustat_draws(sigma, cfg.n, kernel, 1, cfg.seed, tag, r, 2)
@@ -219,12 +216,11 @@ def _threshold_rep(cfg: ExperimentConfig, r: int) -> list[float]:
     model, sigma, zeta_p = banded_model(cfg)
     beta = cfg.beta
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r)
-    s_hat = u.u
     a = quantile(draws, 1.0 - cfg.alpha)
     tau_star = select_tau_star(a, beta)
-    est = threshold_cov(s_hat, tau_star)
+    est = threshold_cov(u.u, tau_star)
     metrics = error_metrics(est, sigma)
-    event = sup_norm(s_hat - sigma) <= beta * tau_star
+    event = draws.statistic(u, sigma) <= beta * tau_star
     # deterministic bounds of the oracle-threshold analysis at r = 0
     rhs_spec = ((3.0 + 2.0 * beta) / beta + 1.0) * zeta_p * (beta * tau_star)
     rhs_frob = (
@@ -287,7 +283,7 @@ def _test_size_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
 
     # covariance test under H0: Sigma = Sigma0
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, restriction="offdiag")
-    stat_cov = sup_stat(u, population_sigma(model), off_diag_only=True, scaled=False)
+    stat_cov = draws.statistic(u, population_sigma(model))
 
     # Kendall test under independence (identity scale matrix, same family);
     # the population tau matrix has zero off-diagonal for any elliptical law
@@ -301,7 +297,7 @@ def _test_size_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
         cfg, ind_model, KendallKernel(), r, stage=3, restriction="offdiag"
     )
     # statistic on the kernel scale: U0 = T0 + 1 entrywise with T0 = I
-    stat_ken = sup_stat(u_k, np.eye(cfg.p) + 1.0, off_diag_only=True, scaled=False)
+    stat_ken = draws_k.statistic(u_k, np.eye(cfg.p) + 1.0)
     return np.concatenate(
         [
             _hits(stat_cov, draws, levels, operator.ge),

@@ -15,7 +15,6 @@ from .bootstrap import bootstrap_halves, quantile, split_sample
 from .kernels import CovarianceKernel, Kernel, KendallKernel
 from .matstat import as_sym
 from .rngutil import SeedLike
-from .ustat import sup_stat
 
 __all__ = ["TestResult", "test_covariance", "test_kendall", "test_ustat_mean"]
 
@@ -45,9 +44,7 @@ def _run_test(
     u, draws = bootstrap_halves(
         main, train, kernel, b, "applications", restriction, seed, *key, 1
     )
-    stat = sup_stat(
-        u, u0, off_diag_only=(restriction == "offdiag"), sided="abs", scaled=False
-    )
+    stat = draws.statistic(u, u0)
     crit = quantile(draws, 1.0 - alpha).value
     # the boundary tie counts as a rejection, matching statistic >= critical
     return TestResult(

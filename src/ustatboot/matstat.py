@@ -19,7 +19,6 @@ __all__ = [
     "vech",
     "unvech",
     "sup_norm",
-    "off_sup_norm",
     "spectral_norm",
     "frobenius_norm",
     "matrix_l1_norm",
@@ -97,16 +96,6 @@ def unvech(v: np.ndarray, p: int) -> np.ndarray:
 def sup_norm(m: np.ndarray) -> float:
     """Maximum absolute entry."""
     return float(np.max(np.abs(m)))
-
-
-def off_sup_norm(m: np.ndarray) -> float:
-    """Maximum absolute off-diagonal entry; undefined for p = 1."""
-    m = np.asarray(m)
-    if m.shape[0] < 2:
-        raise ValueError("off-diagonal sup norm needs p >= 2")
-    a = np.abs(m).copy()
-    np.fill_diagonal(a, 0.0)
-    return float(np.max(a))
 
 
 def frobenius_norm(m: np.ndarray) -> float:

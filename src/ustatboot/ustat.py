@@ -6,85 +6,98 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, check_data
+from .kernels import Kernel, KendallKernel, check_data
+from .matstat import vech_pairs
 
 __all__ = [
+    "SCALINGS",
+    "RESTRICTIONS",
     "UStatResult",
     "EmpiricalHoeffding",
     "compute_u",
     "kendall_tau_matrix",
+    "check_scaling",
+    "vech_columns",
     "sup_stat",
-    "empirical_hoeffding",
     "population_g_covariance",
     "population_f_covariance",
 ]
 
+# Which centred maximum a statistic (and the bootstrap draws of its law) takes:
+# ``raw`` is the signed max times sqrt(n)/2 (the Gaussian-approximation
+# scale), ``applications`` the plain max |.| of the statistical applications;
+# ``offdiag`` drops the diagonal entries.
+SCALINGS = ("raw", "applications")
+RESTRICTIONS = ("all", "offdiag")
+
 
 @dataclass(frozen=True)
 class UStatResult:
-    """U-statistic value together with the sample size and kernel."""
+    """U-statistic value together with the sample size."""
 
     u: np.ndarray
     n: int
-    kernel: Kernel
 
 
 def compute_u(data: np.ndarray, kernel: Kernel) -> UStatResult:
     """Average of the kernel over all C(n,2) unordered pairs."""
     data = check_data(data)
-    return UStatResult(u=kernel.u_stat(data), n=data.shape[0], kernel=kernel)
+    return UStatResult(u=kernel.u_stat(data), n=data.shape[0])
 
 
 def kendall_tau_matrix(data: np.ndarray) -> np.ndarray:
     """Kendall's tau rank correlation matrix: the concordance-kernel
     U-statistic shifted down by 1; entries in [-1, 1]."""
-    from .kernels import KendallKernel
-
     data = check_data(data)
     return KendallKernel().u_stat(data) - 1.0
 
 
-def sup_stat(
-    u: UStatResult | np.ndarray,
-    target: np.ndarray,
-    off_diag_only: bool = False,
-    sided: str = "abs",
-    scaled: bool = True,
-    n: int | None = None,
-) -> float:
-    """Sup-type statistic of a centered U-statistic.
+def check_scaling(scaling: str) -> None:
+    if scaling not in SCALINGS:
+        raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
 
-    With ``scaled`` the statistic is sqrt(n) * max(U - target) / 2 (the
-    Gaussian-approximation scale); unscaled it is the plain sup norm used by
-    the simultaneous tests.  ``sided`` is "abs" for max |.| or "signed" for
-    the signed maximum.
-    """
-    if isinstance(u, UStatResult):
-        mat, n = u.u, u.n
-    else:
-        mat = np.asarray(u)
-        if scaled and n is None:
-            raise ValueError("n is required for the scaled statistic")
+
+def _check_restriction(restriction: str, p: int) -> None:
+    if restriction not in RESTRICTIONS:
+        raise ValueError(
+            f"restriction must be one of {RESTRICTIONS}, got {restriction!r}"
+        )
+    if restriction == "offdiag" and p < 2:
+        raise ValueError("the off-diagonal maximum needs p >= 2")
+
+
+def vech_columns(p: int, restriction: str) -> slice | np.ndarray:
+    """Index of the half-vectorization columns the maximum runs over: every
+    column, or the off-diagonal pairs j > k."""
+    _check_restriction(restriction, p)
+    if restriction == "all":
+        return slice(None)
+    rows, cols = vech_pairs(p)
+    return rows != cols
+
+
+def sup_stat(
+    u: UStatResult,
+    target: np.ndarray,
+    scaling: str = "applications",
+    restriction: str = "all",
+) -> float:
+    """Centred maximum of a U-statistic: sqrt(n) * max(U - target) / 2 at the
+    ``raw`` scaling, max |U - target| at the ``applications`` scaling, over
+    every entry or (``offdiag``) the off-diagonal ones."""
+    check_scaling(scaling)
     target = np.asarray(target)
-    if mat.shape != target.shape:
-        raise ValueError(f"shape mismatch: {mat.shape} vs {target.shape}")
-    diff = mat - target
-    if off_diag_only:
-        if diff.shape[0] < 2:
-            raise ValueError("off-diagonal statistic needs p >= 2")
-        mask = ~np.eye(diff.shape[0], dtype=bool)
-        vals = diff[mask]
-    else:
+    if u.u.shape != target.shape:
+        raise ValueError(f"shape mismatch: {u.u.shape} vs {target.shape}")
+    diff = u.u - target
+    _check_restriction(restriction, diff.shape[0])
+    if restriction == "all":
         vals = diff.ravel()
-    if sided == "abs":
-        stat = float(np.max(np.abs(vals)))
-    elif sided == "signed":
-        stat = float(np.max(vals))
     else:
-        raise ValueError(f"sided must be 'abs' or 'signed', got {sided!r}")
-    if scaled:
-        stat *= np.sqrt(n) / 2.0
-    return stat
+        vals = diff[~np.eye(diff.shape[0], dtype=bool)]
+    if scaling == "applications":
+        return float(np.max(np.abs(vals)))
+    return float(np.max(vals)) * (np.sqrt(u.n) / 2.0)
 
 
 class EmpiricalHoeffding:
@@ -118,11 +131,6 @@ class EmpiricalHoeffding:
         """Empirical canonical part for the pair (i, j)."""
         h = self.kernel(self.data[i], self.data[j])
         return h - self._h1[i] - self._h1[j] + self.h_bar
-
-
-def empirical_hoeffding(data: np.ndarray, kernel: Kernel) -> EmpiricalHoeffding:
-    """Compute the empirical Hoeffding decomposition (needs n >= 3)."""
-    return EmpiricalHoeffding(data, kernel)
 
 
 def population_g_covariance(x: np.ndarray, sigma: np.ndarray) -> np.ndarray:

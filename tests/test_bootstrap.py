@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from ustatboot.bootstrap import (
     BootstrapDraws,
+    DecoupledGEstimates,
     draw_bootstrap,
     estimate_g_decoupled,
     quantile,
     split_sample,
 )
 from ustatboot.kernels import CovarianceKernel, KendallKernel
+from ustatboot.ustat import UStatResult
 
 
 def test_split_sample_disjoint_and_exhaustive():
@@ -181,6 +183,48 @@ def test_draw_bootstrap_rejects_bad_args():
         draw_bootstrap(g, 5, "weird")
     with pytest.raises(ValueError):
         draw_bootstrap(g, 5, "raw", "upper")
+
+
+# U - target and n for each hand case; sqrt(n)/2 is 2 and 1.5, so every
+# expected value below is exact
+_DIFF_2 = np.array([[-4.0, -3.0], [-3.0, 2.5]])
+_DIFF_3 = np.array([[3.0, 0.5, -2.0], [0.5, -5.0, 1.5], [-2.0, 1.5, 0.25]])
+
+
+@pytest.mark.parametrize(
+    "diff, n, expected",
+    [
+        (_DIFF_2, 16, {("raw", "all"): 5.0, ("raw", "offdiag"): -6.0,
+                       ("applications", "all"): 4.0, ("applications", "offdiag"): 3.0}),
+        (_DIFF_3, 9, {("raw", "all"): 4.5, ("raw", "offdiag"): 2.25,
+                      ("applications", "all"): 5.0, ("applications", "offdiag"): 2.0}),
+    ],
+)
+def test_draws_statistic_is_the_maximum_they_approximate(diff, n, expected):
+    p = diff.shape[0]
+    target = 0.5 + np.eye(p)  # U - target is exactly diff
+    u = UStatResult(u=target + diff, n=n)
+    g_hat = np.random.default_rng(5).standard_normal((6, p, p))
+    g = DecoupledGEstimates(g_hat=g_hat + g_hat.transpose(0, 2, 1), train_u=np.zeros((p, p)))
+    for (scaling, restriction), value in expected.items():
+        draws = draw_bootstrap(g, 3, scaling, restriction)
+        assert draws.statistic(u, target) == value, (scaling, restriction)
+
+
+def test_draws_statistic_rejects_what_draw_bootstrap_rejects():
+    g = DecoupledGEstimates(g_hat=np.ones((4, 1, 1)), train_u=np.zeros((1, 1)))
+    u = UStatResult(u=np.array([[3.0]]), n=4)
+    # no off-diagonal entry at p = 1
+    with pytest.raises(ValueError, match="p >= 2"):
+        BootstrapDraws(np.zeros(1), "applications", "offdiag").statistic(u, np.zeros((1, 1)))
+    with pytest.raises(ValueError, match="p >= 2"):
+        draw_bootstrap(g, 2, "applications", "offdiag")
+    for scaling, restriction in (("weird", "all"), ("raw", "upper")):
+        with pytest.raises(ValueError) as from_draws:
+            draw_bootstrap(g, 2, scaling, restriction)
+        with pytest.raises(ValueError) as from_statistic:
+            BootstrapDraws(np.zeros(1), scaling, restriction).statistic(u, np.zeros((1, 1)))
+        assert str(from_statistic.value) == str(from_draws.value)
 
 
 def test_quantile_order_statistic_oracle():

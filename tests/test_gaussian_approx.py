@@ -108,10 +108,14 @@ def test_sample_z_max_matches_per_draw_loop(sided, restriction):
     np.testing.assert_allclose(got, np.sort(expected), atol=1e-12)
 
 
-def test_sample_z_max_p_cap():
+def test_sample_z_max_p_cap(monkeypatch):
+    import ustatboot.gaussian_approx as ga
+
     gamma = GammaG(cov=np.eye(6))
+    assert sample_z_max(gamma, 5).shape == (5,)
+    monkeypatch.setattr(ga, "DEFAULT_GAMMA_P_CAP", 2)
     with pytest.raises(ValueError):
-        sample_z_max(gamma, 5, p_cap=2)
+        sample_z_max(gamma, 5)
     with pytest.raises(ValueError):
         sample_z_max(GammaG(cov=np.eye(5)), 5)  # 5 is not p(p+1)/2
 

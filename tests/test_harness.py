@@ -203,6 +203,11 @@ def test_cli_config_error_exit_code(tmp_path):
         ("maximal_ineq_scaling", {"n_grid": [50, 50]}),
         ("clime_eval", {"m_bound": -1}),
         ("linfun_eval", {"m_bound": 0}),
+        ("pp_plot", {"n": 200.5}),
+        ("coverage", {"bootstrap_b": 20.7}),
+        ("threshold_eval", {"replications": "2"}),
+        ("test_size", {"n": True}),
+        ("coverage", {"seed": -1}),
     ],
 )
 def test_cli_degenerate_config_exit_code(tmp_path, name, over):

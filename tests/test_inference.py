@@ -35,7 +35,7 @@ def test_covariance_test_follows_stream_layout(m1_data):
     seed, key, kernel = 11, (7, 3), CovarianceKernel()
     res = covariance_test(data, sigma0, 0.1, 50, seed, *key)
     main, train = split_sample(data, seed, *key, 0)
-    stat = sup_stat(compute_u(main, kernel), sigma0, off_diag_only=True, scaled=False)
+    stat = sup_stat(compute_u(main, kernel), sigma0, restriction="offdiag")
     g = estimate_g_decoupled(main, train, kernel)
     draws = draw_bootstrap(g, 50, "applications", "offdiag", seed, *key, 1)
     assert res.statistic == stat

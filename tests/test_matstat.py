@@ -9,7 +9,6 @@ from ustatboot.matstat import (
     cholesky,
     frobenius_norm,
     matrix_l1_norm,
-    off_sup_norm,
     spectral_norm,
     sup_norm,
     unvech,
@@ -64,11 +63,8 @@ def test_vech_stacked():
 def test_norm_oracles():
     m = np.array([[1.0, -4.0], [-4.0, 2.0]])
     assert sup_norm(m) == 4.0
-    assert off_sup_norm(m) == 4.0
     assert frobenius_norm(m) == pytest.approx(np.sqrt(1 + 16 + 16 + 4))
     assert matrix_l1_norm(m) == 6.0
-    with pytest.raises(ValueError):
-        off_sup_norm(np.array([[3.0]]))
 
 
 def test_spectral_norm_2x2_closed_form():

@@ -4,8 +4,8 @@ import pytest
 from ustatboot.kernels import CovarianceKernel, KendallKernel
 from ustatboot.ustat import (
     EmpiricalHoeffding,
+    UStatResult,
     compute_u,
-    empirical_hoeffding,
     kendall_tau_matrix,
     population_f_covariance,
     population_g_covariance,
@@ -28,7 +28,7 @@ def test_empirical_hoeffding_reconstructs_kernel():
 def test_empirical_hoeffding_centering_identities():
     rng = np.random.default_rng(1)
     data = rng.standard_normal((10, 2))
-    dec = empirical_hoeffding(data, CovarianceKernel())
+    dec = EmpiricalHoeffding(data, CovarianceKernel())
     n = data.shape[0]
     # g_hat sums to zero and h_bar is the U-statistic
     np.testing.assert_allclose(dec.g_hat.sum(axis=0), 0.0, atol=1e-12)
@@ -82,19 +82,21 @@ def test_kendall_tau_arcsine_law():
 def test_sup_stat_variants():
     u = np.array([[1.0, 2.0], [2.0, 0.0]])
     target = np.zeros((2, 2))
-    assert sup_stat(u, target, scaled=False) == 2.0
-    assert sup_stat(u, target, scaled=True, n=16) == pytest.approx(4.0)
-    assert sup_stat(-u, target, sided="signed", scaled=False) == 0.0
-    assert sup_stat(u + np.diag([5.0, 0.0]), target, off_diag_only=True, scaled=False) == 2.0
+    assert sup_stat(UStatResult(u=u, n=16), target) == 2.0
+    assert sup_stat(UStatResult(u=u, n=16), target, "raw") == pytest.approx(4.0)
+    assert sup_stat(UStatResult(u=-u, n=16), target, "raw") == 0.0
+    diag_heavy = UStatResult(u=u + np.diag([5.0, 0.0]), n=16)
+    assert sup_stat(diag_heavy, target, restriction="offdiag") == 2.0
     with pytest.raises(ValueError):
-        sup_stat(u, target, scaled=True)  # n missing for a plain array
+        sup_stat(UStatResult(u=u, n=16), target, "bogus")
     with pytest.raises(ValueError):
-        sup_stat(u, target, sided="bogus", scaled=False)
+        sup_stat(UStatResult(u=u, n=16), np.zeros((3, 3)))
 
 
 def test_sup_stat_from_result():
     rng = np.random.default_rng(4)
     data = rng.standard_normal((9, 2))
     res = compute_u(data, CovarianceKernel())
-    expected = np.sqrt(9) * np.max(np.abs(res.u)) / 2.0
-    assert sup_stat(res, np.zeros((2, 2))) == pytest.approx(expected)
+    assert sup_stat(res, np.zeros((2, 2))) == np.max(np.abs(res.u))
+    expected = np.sqrt(9) * np.max(res.u) / 2.0
+    assert sup_stat(res, np.zeros((2, 2)), "raw") == pytest.approx(expected)
