@@ -42,11 +42,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DecoupledGEstimates:
-    """Per-row Hajek projection estimates ghat_i and the training-half
-    U-statistic they were centered with."""
+    """Per-row Hajek projection estimates ghat_i, half-vectorized (row i is
+    ``vech(ghat_i)``: ghat_i is symmetric, so this holds every distinct
+    entry), and the training-half U-statistic they were centered with."""
 
-    g_hat: np.ndarray  # (n, p, p)
+    g_hat: np.ndarray  # (n, p(p+1)/2)
     train_u: np.ndarray  # (p, p)
+
+    def __post_init__(self) -> None:
+        p = self.p
+        if self.g_hat.ndim != 2 or self.g_hat.shape[1] != p * (p + 1) // 2:
+            raise ValueError(
+                f"g_hat must be (n, p(p+1)/2) for p = {p}, got {self.g_hat.shape}"
+            )
 
     @property
     def n(self) -> int:
@@ -54,7 +62,7 @@ class DecoupledGEstimates:
 
     @property
     def p(self) -> int:
-        return self.g_hat.shape[1]
+        return self.train_u.shape[0]
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,9 @@ def estimate_g_decoupled(
 ) -> DecoupledGEstimates:
     """Decoupled estimator of g at every main row:
 
-    ghat_i = n^{-1} sum_j h(X_i, X'_j) - C(n,2)^{-1} sum_{j<l} h(X'_j, X'_l).
+    ghat_i = n^{-1} sum_j h(X_i, X'_j) - C(n,2)^{-1} sum_{j<l} h(X'_j, X'_l),
+
+    each half-vectorized into one row of ``g_hat``.
     """
     main = check_data(main)
     train = check_data(train)
@@ -112,7 +122,7 @@ def estimate_g_decoupled(
         )
     g_hat = kernel.cross_mean(main, train)  # a new array, centered in place
     train_u = kernel.u_stat(train)
-    g_hat -= train_u
+    g_hat -= vech(train_u)
     return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
 
 
@@ -127,12 +137,12 @@ def draw_bootstrap(
     """Generate b multiplier draws; draw d uses the substream (seed, *key, d)
     so results do not depend on execution order or parallelism.  All b
     multiplier vectors form one (b, n) matrix, and the draws are one GEMM
-    with the (n, n_entries) matrix of ghat entries."""
+    with the (n, p(p+1)/2) matrix ``g.g_hat`` (all entries, as it is) or
+    its off-diagonal columns."""
     if b < 1:
         raise ValueError("b must be >= 1")
     check_scaling(scaling)
-    # ghat_i is symmetric, so its half-vectorization holds every distinct entry
-    mat = vech(g.g_hat)[:, vech_columns(g.p, restriction)]
+    mat = g.g_hat[:, vech_columns(g.p, restriction)]
     n = g.n
     s = substream_normals(seed, *key, rows=b, cols=n) @ mat
     if scaling == "raw":

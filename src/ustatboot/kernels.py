@@ -9,17 +9,32 @@ Besides single-pair evaluation, each kernel exposes two batched operations
 that dominate runtime and are implemented with closed forms / matmuls where
 possible:
 
-* ``u_stat(data)``        -- average of h over all unordered pairs;
-* ``cross_mean(xs, ys)``  -- mean over rows y of h(x_i, y), for every row x_i.
+* ``u_stat(data)``        -- average of h over all unordered pairs, a p x p
+  matrix;
+* ``cross_mean(xs, ys)``  -- mean over rows y of h(x_i, y), for every row x_i,
+  as an (n_x, p(p+1)/2) matrix whose row i is the half-vectorization
+  (``matstat.vech`` order, the lower triangle by columns) of that symmetric
+  mean.  The bootstrap reads only these distinct entries, so no (n_x, p, p)
+  array is built.
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) and a = |s|,
 2 * 1{s_m s_k > 0} = s_m s_k + a_m a_k exactly, ties included, so sums of h
 over a set of pairs are S^T S + A^T A for the stacked sign rows S and their
-absolute values A.  S and A hold values in {-1, 0, 1} and are stored as
-float32; every partial sum of their products is an integer, and float32
-holds integers exactly up to 2^24, so each block product is exact (size
-bounds at ``_KENDALL_BLOCK``).  Blocks accumulate in float64, and results
-are bit-identical to the pair loop of :class:`Kernel`.
+absolute values A.  S holds values in {-1, 0, 1} and is stored as float32;
+every partial sum of its products is an integer, and float32 holds integers
+exactly up to 2^24, so each block product is exact (size bounds at
+``_KENDALL_BLOCK``).  Blocks accumulate in float64, and results are
+bit-identical to the pair loop of :class:`Kernel`.
+
+A^T A is a count, not a product.  Over a block of N active pairs, a_m is 1 on
+every pair unless column m has a tie, so (A^T A)[m, k] is N when neither
+column is tied, the number of untied pairs of column m when only m is tied,
+and the product of the two tied columns' |s| when both are.  The kernels find
+the columns where the compared data repeat a value (one sort per column; a
+superset of the truly tied columns, which changes no count) and multiply only
+B = [|S[:, tied]|, 1_active], whose small Gram holds every entry of A^T A.
+The counts are the same integers the full product gives, so results do not
+change by a bit; data without ties run one float32 product per block, not two.
 
 Kendall ties: the indicator is strictly positive, so tied coordinates
 contribute 0 (the continuous-distribution convention; discrete data users
@@ -31,6 +46,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+from .matstat import vech, vech_pairs
 
 __all__ = [
     "Kernel",
@@ -68,6 +85,14 @@ def _check_pair(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x1, x2
 
 
+def _check_samples(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xs = check_data(xs, min_rows=1)
+    ys = check_data(ys, min_rows=1)
+    if xs.shape[1] != ys.shape[1]:
+        raise ValueError("dimension mismatch between the two samples")
+    return xs, ys
+
+
 def _signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """float32 sign(x_i - y_j) as an (n_x, n_y, p) array, by comparison."""
     x, y = xs[:, None, :], ys[None, :, :]
@@ -75,6 +100,30 @@ def _signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     np.greater(x, y, out=s)
     s -= np.less(x, y)
     return s
+
+
+def _tied_columns(data: np.ndarray) -> np.ndarray:
+    """Indices of the columns of ``data`` that repeat a value: every column
+    where two of its rows can tie, and possibly more."""
+    srt = np.sort(data, axis=0)
+    return np.flatnonzero((srt[1:] == srt[:-1]).any(axis=0))
+
+
+def _abs_gram_slots(p: int, tied: np.ndarray) -> np.ndarray:
+    """Column of B = [|S[:, tied]|, 1_active] that stands for each data
+    column in A^T A: its own if tied, else the active-pair indicator."""
+    slots = np.full(p, tied.size)
+    slots[tied] = np.arange(tied.size)
+    return slots
+
+
+def _abs_gram(s: np.ndarray, tied: np.ndarray, active: np.ndarray | float) -> np.ndarray:
+    """B^T B for sign rows s (..., N, p), with B = [|s[..., tied]|, active]
+    and ``active`` the 0/1 indicator of the N pairs (or the scalar 1)."""
+    b = np.empty(s.shape[:-1] + (tied.size + 1,), dtype=np.float32)
+    np.abs(s[..., tied], out=b[..., :-1])
+    b[..., -1] = active
+    return np.matmul(b.swapaxes(-1, -2), b)
 
 
 class Kernel:
@@ -98,16 +147,15 @@ class Kernel:
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """For every row x_i of ``xs``, the mean over rows y_j of ``ys`` of
-        h(x_i, y_j).  Returns a new (n_xs, p, p) float64 array, which the
-        caller may modify in place."""
-        xs = check_data(xs, min_rows=1)
-        ys = check_data(ys, min_rows=1)
-        if xs.shape[1] != ys.shape[1]:
-            raise ValueError("dimension mismatch between the two samples")
-        out = np.zeros((xs.shape[0], xs.shape[1], xs.shape[1]))
+        h(x_i, y_j), half-vectorized.  Returns a new (n_xs, p(p+1)/2) float64
+        array in ``matstat.vech`` order, which the caller may modify in
+        place."""
+        xs, ys = _check_samples(xs, ys)
+        rows, cols = vech_pairs(xs.shape[1])
+        out = np.zeros((xs.shape[0], rows.size))
         for i, x in enumerate(xs):
             for y in ys:
-                out[i] += self(x, y)
+                out[i] += self(x, y)[rows, cols]
         return out / ys.shape[0]
 
 
@@ -130,16 +178,19 @@ class CovarianceKernel(Kernel):
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         # mean_j h(x, y_j) = ((x - ybar)(x - ybar)^T + C) / 2, with C the
-        # mean of (y_j - ybar)(y_j - ybar)^T
-        xs = check_data(xs, min_rows=1)
-        ys = check_data(ys, min_rows=1)
-        if xs.shape[1] != ys.shape[1]:
-            raise ValueError("dimension mismatch between the two samples")
+        # mean of (y_j - ybar)(y_j - ybar)^T.  vech column block k holds the
+        # entries (j, k), j >= k: one product of column k with columns k..p-1
+        xs, ys = _check_samples(xs, ys)
         ybar = ys.mean(axis=0)
         cy = ys - ybar
         d = xs - ybar
-        out = d[:, :, None] * d[:, None, :]
-        out += (cy.T @ cy) / ys.shape[0]
+        p = d.shape[1]
+        out = np.empty((d.shape[0], p * (p + 1) // 2))
+        start = 0
+        for k in range(p):
+            np.multiply(d[:, k:], d[:, k, None], out=out[:, start : start + p - k])
+            start += p - k
+        out += vech((cy.T @ cy) / ys.shape[0])
         out /= 2.0
         return out
 
@@ -165,31 +216,37 @@ class KendallKernel(Kernel):
         # with the block's own pairs j <= i zeroed out of the sign matrix
         data = check_data(data)
         n, p = data.shape
+        tied = _tied_columns(data)
+        slots = _abs_gram_slots(p, tied)
+        abs_entries = np.ix_(slots, slots)
         acc = np.zeros((p, p))
         for start in range(0, n, _KENDALL_BLOCK):
             block = data[start : start + _KENDALL_BLOCK]
             s = _signs(block, data[start:])
-            s[np.tril(np.ones(s.shape[:2], dtype=bool))] = 0.0
+            done = np.tril(np.ones(s.shape[:2], dtype=bool))
+            s[done] = 0.0
             s = s.reshape(-1, p)
-            a = np.abs(s)
             acc += s.T @ s
-            acc += a.T @ a
+            acc += _abs_gram(s, tied, ~done.reshape(-1))[abs_entries]
         return acc / (n * (n - 1) / 2)
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        xs = check_data(xs, min_rows=1)
-        ys = check_data(ys, min_rows=1)
-        if xs.shape[1] != ys.shape[1]:
-            raise ValueError("dimension mismatch between the two samples")
+        # every pair (x_i, y_j) is active; each block's p x p products are
+        # half-vectorized straight into the output rows
+        xs, ys = _check_samples(xs, ys)
         n_x, p = xs.shape
-        out = np.empty((n_x, p, p))
+        rows, cols = vech_pairs(p)
+        tied = _tied_columns(np.vstack([xs, ys]))
+        slots = _abs_gram_slots(p, tied)
+        slot_rows, slot_cols = slots[rows], slots[cols]
+        out = np.empty((n_x, rows.size))
         for start in range(0, n_x, _KENDALL_BLOCK):
             s = _signs(xs[start : start + _KENDALL_BLOCK], ys)
-            a = np.abs(s)
             block = out[start : start + _KENDALL_BLOCK]
-            block[...] = np.matmul(s.transpose(0, 2, 1), s)
-            block += np.matmul(a.transpose(0, 2, 1), a)
-        return out / ys.shape[0]
+            block[...] = np.matmul(s.transpose(0, 2, 1), s)[:, rows, cols]
+            block += _abs_gram(s, tied, 1.0)[:, slot_rows, slot_cols]
+        out /= ys.shape[0]
+        return out
 
 
 class CustomKernel(Kernel):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, KendallKernel, check_data
-from .matstat import vech_pairs
+from .matstat import unvech, vech_pairs
 
 __all__ = [
     "SCALINGS",
@@ -119,7 +119,7 @@ class EmpiricalHoeffding:
         p = data.shape[1]
         # row means of the pairwise kernel; reuse cross_mean and remove the
         # diagonal term h(x_i, x_i)
-        cross = kernel.cross_mean(data, data)  # (n, p, p), includes j == i
+        cross = unvech(kernel.cross_mean(data, data), p)  # includes j == i
         diag = np.stack([kernel(x, x) for x in data])
         self._h1 = (cross * n - diag) / (n - 1)
         # U equals the mean of the row means hhat1

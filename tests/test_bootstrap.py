@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from ustatboot.bootstrap import (
     split_sample,
 )
 from ustatboot.kernels import CovarianceKernel, KendallKernel
+from ustatboot.matstat import vech
 from ustatboot.ustat import UStatResult
 
 
@@ -51,7 +53,7 @@ def test_estimate_g_decoupled_formula():
     u_train = kernel.u_stat(train)
     for i in range(main.shape[0]):
         cross = np.mean([kernel(main[i], y) for y in train], axis=0)
-        np.testing.assert_allclose(g.g_hat[i], cross - u_train, atol=1e-12)
+        np.testing.assert_allclose(g.g_hat[i], vech(cross - u_train), atol=1e-12)
     np.testing.assert_allclose(g.train_u, u_train, atol=1e-12)
     assert g.n == 6 and g.p == 3
 
@@ -63,7 +65,7 @@ def test_estimate_g_decoupled_is_cross_mean_minus_u_stat(kernel):
     train = rng.standard_normal((30, 4))
     g = estimate_g_decoupled(main, train, kernel)
     np.testing.assert_array_equal(
-        g.g_hat, kernel.cross_mean(main, train) - kernel.u_stat(train)
+        g.g_hat, kernel.cross_mean(main, train) - vech(kernel.u_stat(train))
     )
     np.testing.assert_array_equal(g.train_u, kernel.u_stat(train))
 
@@ -98,12 +100,11 @@ def test_draw_bootstrap_prefix_property():
 
 
 def test_draw_bootstrap_matches_manual_computation():
-    from ustatboot.matstat import vech
     from ustatboot.rngutil import substream
 
     g = _toy_g()
     draws = draw_bootstrap(g, 5, "applications", "all", 11)
-    flat = vech(g.g_hat)
+    flat = g.g_hat
     n = g.n
     manual = []
     for d in range(5):
@@ -113,12 +114,11 @@ def test_draw_bootstrap_matches_manual_computation():
 
 
 def test_draw_bootstrap_raw_scaling_is_signed_max():
-    from ustatboot.matstat import vech
     from ustatboot.rngutil import substream
 
     g = _toy_g()
     draws = draw_bootstrap(g, 5, "raw", "all", 13)
-    flat = vech(g.g_hat)
+    flat = g.g_hat
     manual = [
         np.max(substream(13, d).standard_normal(g.n) @ flat) / math.sqrt(g.n)
         for d in range(5)
@@ -128,10 +128,10 @@ def test_draw_bootstrap_raw_scaling_is_signed_max():
 
 def _draw_loop(g, b, scaling, restriction, seed, *key):
     """Per-draw reference: one substream and one mat-vec per draw."""
-    from ustatboot.matstat import vech, vech_pairs
+    from ustatboot.matstat import vech_pairs
     from ustatboot.rngutil import substream
 
-    flat = vech(g.g_hat)
+    flat = g.g_hat
     if restriction == "offdiag":
         rows, cols = vech_pairs(g.p)
         flat = flat[:, rows != cols]
@@ -160,13 +160,35 @@ def test_draw_bootstrap_matches_per_draw_loop(kernel, b, scaling, restriction):
     )
 
 
+def test_covariance_bootstrap_builds_no_dense_g_tensor():
+    # one (n, p, p) float64 array is 32 MB at n = 100, p = 200; the
+    # half-vectorized g_hat alone is about 16 MB
+    n, p = 100, 200
+    rng = np.random.default_rng(8)
+    main, train = rng.standard_normal((2, n, p))
+    tracemalloc.start()
+    try:
+        g = estimate_g_decoupled(main, train, CovarianceKernel())
+        draw_bootstrap(g, 10, "applications", "all", 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p * p * 8, peak
+
+
+def test_decoupled_estimates_reject_a_dense_g_hat():
+    with pytest.raises(ValueError, match="p\\(p\\+1\\)/2"):
+        DecoupledGEstimates(g_hat=np.zeros((4, 3, 3)), train_u=np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        DecoupledGEstimates(g_hat=np.zeros((4, 5)), train_u=np.zeros((3, 3)))
+
+
 def test_draw_bootstrap_offdiag_ignores_diagonal():
     # inflate diagonal entries of g_hat: offdiag draws must not change
     g = _toy_g()
     base = draw_bootstrap(g, 20, "applications", "offdiag", 7)
     g2_hat = g.g_hat.copy()
-    idx = np.arange(g.p)
-    g2_hat[:, idx, idx] += 100.0
+    g2_hat[:, vech(np.eye(g.p)) == 1.0] += 100.0
     from ustatboot.bootstrap import DecoupledGEstimates
 
     g2 = DecoupledGEstimates(g_hat=g2_hat, train_u=g.train_u)
@@ -205,14 +227,14 @@ def test_draws_statistic_is_the_maximum_they_approximate(diff, n, expected):
     target = 0.5 + np.eye(p)  # U - target is exactly diff
     u = UStatResult(u=target + diff, n=n)
     g_hat = np.random.default_rng(5).standard_normal((6, p, p))
-    g = DecoupledGEstimates(g_hat=g_hat + g_hat.transpose(0, 2, 1), train_u=np.zeros((p, p)))
+    g = DecoupledGEstimates(g_hat=vech(g_hat + g_hat.transpose(0, 2, 1)), train_u=np.zeros((p, p)))
     for (scaling, restriction), value in expected.items():
         draws = draw_bootstrap(g, 3, scaling, restriction)
         assert draws.statistic(u, target) == value, (scaling, restriction)
 
 
 def test_draws_statistic_rejects_what_draw_bootstrap_rejects():
-    g = DecoupledGEstimates(g_hat=np.ones((4, 1, 1)), train_u=np.zeros((1, 1)))
+    g = DecoupledGEstimates(g_hat=np.ones((4, 1)), train_u=np.zeros((1, 1)))
     u = UStatResult(u=np.array([[3.0]]), n=4)
     # no off-diagonal entry at p = 1
     with pytest.raises(ValueError, match="p >= 2"):

@@ -11,6 +11,7 @@ from ustatboot.kernels import (
     _KENDALL_BLOCK,
     check_data,
 )
+from ustatboot.matstat import unvech, vech
 
 
 def pair_loop_u_stat(kernel, data):
@@ -42,32 +43,52 @@ def test_cross_mean_matches_pair_loop(kernel, seed):
     )
 
 
+# ties: False (continuous), True (every column integer-valued), "column" (the
+# last column integer-valued among continuous ones) or "shared" (continuous,
+# with exactly one value repeated in the first column; see _share_one_value)
+_TIES = [False, True, "column", "shared"]
+
+
 def _kendall_sample(rng, shape, ties):
-    if ties:
+    if ties is True:
         return rng.integers(0, 3, shape).astype(np.float64)
-    return rng.standard_normal(shape)
+    data = rng.standard_normal(shape)
+    if ties == "column":
+        data[:, -1] = rng.integers(0, 3, shape[0])
+    return data
 
 
-@pytest.mark.parametrize("ties", [False, True])
+def _share_one_value(a, b, ties):
+    """For ``ties == "shared"``, make b's last row repeat a's first value in
+    column 0, the one tie among otherwise distinct values."""
+    if ties == "shared":
+        b[-1, 0] = a[0, 0]
+
+
+@pytest.mark.parametrize("ties", _TIES)
 @pytest.mark.parametrize(
     "n_x, n_y, p",
-    [(1, 1, 1), (5, 3, 4), (_KENDALL_BLOCK + 1, 17, 3), (2 * _KENDALL_BLOCK + 3, 11, 2)],
+    [(1, 1, 1), (5, 3, 4), (_KENDALL_BLOCK + 1, 17, 3), (2 * _KENDALL_BLOCK + 3, 11, 2),
+     (2 * _KENDALL_BLOCK + 5, 23, 7)],
 )
 def test_kendall_cross_mean_equals_pair_loop_exactly(n_x, n_y, p, ties):
     rng = np.random.default_rng(n_x * 100 + n_y)
     xs = _kendall_sample(rng, (n_x, p), ties)
     ys = _kendall_sample(rng, (n_y, p), ties)
+    _share_one_value(xs, ys, ties)
     k = KendallKernel()
     np.testing.assert_array_equal(k.cross_mean(xs, ys), pair_loop_cross_mean(k, xs, ys))
 
 
-@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("ties", _TIES)
 @pytest.mark.parametrize(
-    "n, p", [(2, 1), (7, 4), (_KENDALL_BLOCK, 3), (2 * _KENDALL_BLOCK + 3, 3)]
+    "n, p", [(2, 1), (7, 4), (_KENDALL_BLOCK, 3), (2 * _KENDALL_BLOCK + 3, 3),
+             (_KENDALL_BLOCK + 9, 6)]
 )
 def test_kendall_u_stat_equals_pair_loop_exactly(n, p, ties):
     rng = np.random.default_rng(n)
     data = _kendall_sample(rng, (n, p), ties)
+    _share_one_value(data, data, ties)
     k = KendallKernel()
     np.testing.assert_array_equal(k.u_stat(data), pair_loop_u_stat(k, data))
 
@@ -84,12 +105,12 @@ def test_kendall_u_stat_is_off_diagonal_cross_mean(n, p, ties, seed):
     # ordered pair i != j: twice the unordered-pair sum behind u_stat
     data = _kendall_sample(np.random.default_rng(seed), (n, p), ties)
     k = KendallKernel()
-    counts = np.rint(k.cross_mean(data, data) * n).sum(axis=0)
+    counts = unvech(np.rint(k.cross_mean(data, data) * n).sum(axis=0), p)
     np.testing.assert_array_equal(k.u_stat(data), counts / (n * (n - 1)))
 
 
 def test_kendall_u_stat_block_boundary():
-    # force the chunked einsum across a block boundary
+    # more rows than one block of sign products holds
     import ustatboot.kernels as kernels_mod
 
     rng = np.random.default_rng(3)
@@ -115,6 +136,21 @@ def test_covariance_kernel_value():
     np.testing.assert_allclose(
         CovarianceKernel()(x1, x2), np.array([[0.5, -1.0], [-1.0, 2.0]])
     )
+
+
+@pytest.mark.parametrize("n_x, n_y, p", [(1, 2, 1), (9, 7, 5), (30, 40, 12)])
+def test_covariance_cross_mean_is_vech_of_the_dense_formula(n_x, n_y, p):
+    # the same products, sums and halving as the dense (d d^T + C) / 2, in
+    # the same order, so the half-vectorized rows match it bit for bit
+    rng = np.random.default_rng(n_x + p)
+    xs = rng.standard_normal((n_x, p)) + 3.0
+    ys = rng.standard_normal((n_y, p)) + 3.0
+    ybar = ys.mean(axis=0)
+    d = xs - ybar
+    cy = ys - ybar
+    c = (cy.T @ cy) / n_y
+    dense = ((d[:, :, None] * d[:, None, :]) + c) / 2
+    np.testing.assert_array_equal(CovarianceKernel().cross_mean(xs, ys), vech(dense))
 
 
 def test_covariance_u_stat_is_sample_covariance():
