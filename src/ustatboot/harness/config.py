@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -58,6 +59,10 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved parameters for one experiment run."""
@@ -94,6 +99,14 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer")
         if not all(_is_int(n) for n in self.n_grid):
             raise ConfigError("n_grid values must be integers")
+        reals = ("alpha", "beta", "tau_delta_const")
+        if self.m_bound is not None:
+            reals += ("m_bound",)
+        for name in reals:
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number")
+        if not all(_is_real(a) for a in self.alpha_grid):
+            raise ConfigError("alpha_grid values must be numbers")
         for name in counts:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -111,8 +124,10 @@ class ExperimentConfig:
             raise ConfigError("n_grid values must be >= 4")
         if len(set(self.n_grid)) < 2:
             raise ConfigError("n_grid needs at least two distinct sizes for a slope")
-        if self.m_bound is not None and not self.m_bound > 0:
-            raise ConfigError("m_bound must be > 0")
+        if self.m_bound is not None and not 0.0 < self.m_bound < math.inf:
+            raise ConfigError("m_bound must be finite and > 0")
+        if not 0.0 < self.tau_delta_const < math.inf:
+            raise ConfigError("tau_delta_const must be finite and > 0")
         try:
             model = model_from_config(self.model)
         except ValueError as exc:

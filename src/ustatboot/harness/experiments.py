@@ -22,7 +22,12 @@ from ..bootstrap import (
     quantile,
     split_sample,
 )
-from ..distributions import EllipticalModel, population_sigma, sample
+from ..distributions import (
+    EllipticalModel,
+    contaminated_normal,
+    population_sigma,
+    sample,
+)
 from ..estimators import (
     SUPPORT_TOL,
     ClimeInfeasibleError,
@@ -33,7 +38,7 @@ from ..estimators import (
     solve_dantzig_linfun,
     threshold_cov,
 )
-from ..gaussian_approx import kolmogorov_distance, naive_gaussian_ustat_draws
+from ..gaussian_approx import kolmogorov_distance
 from ..kernels import CovarianceKernel, Kernel, KendallKernel
 from ..matstat import matrix_l1_norm, sup_norm
 from ..ustat import UStatResult, compute_u, sup_stat
@@ -147,9 +152,11 @@ def _nvh_rep(cfg: ExperimentConfig, r: int) -> tuple[float, float, float]:
     m2 = (data_h.T @ data_h) / cfg.n
     hajek_stat = sup_stat(UStatResult(u=m2, n=cfg.n), sigma, "raw")
 
-    # naive moment-matched Gaussian data
-    naive = naive_gaussian_ustat_draws(sigma, cfg.n, kernel, 1, cfg.seed, tag, r, 2)
-    return t_stat, naive[0], hajek_stat
+    # naive moment-matched Gaussian data: N(0, Sigma) is the contaminated
+    # normal with epsilon = 0
+    gauss = sample(contaminated_normal(sigma, 0.0, 1.0), cfg.n, cfg.seed, tag, r, 2, 0)
+    naive_stat = sup_stat(compute_u(gauss, kernel), sigma, "raw")
+    return t_stat, naive_stat, hajek_stat
 
 
 def run_naive_vs_hajek(cfg: ExperimentConfig) -> ExperimentResult:

@@ -130,8 +130,6 @@ class Kernel:
     """Symmetric kernel of order two.  Subclasses implement ``__call__``;
     the batched operations have generic pair-loop fallbacks."""
 
-    kind = "custom"
-
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -161,8 +159,6 @@ class Kernel:
 
 class CovarianceKernel(Kernel):
     """h(x1, x2) = (x1 - x2)(x1 - x2)^T / 2; E h = Cov(X) for iid arguments."""
-
-    kind = "covariance"
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         x1, x2 = _check_pair(x1, x2)
@@ -201,8 +197,6 @@ class KendallKernel(Kernel):
     The batched operations are exact float32 sign-matrix products (see the
     module docstring).
     """
-
-    kind = "kendall"
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         x1, x2 = _check_pair(x1, x2)
@@ -255,8 +249,6 @@ class CustomKernel(Kernel):
     The callback must be symmetric in its two arguments and reentrant; with
     ``debug=True`` symmetry is asserted on every evaluation (doubles cost).
     """
-
-    kind = "custom"
 
     def __init__(
         self,

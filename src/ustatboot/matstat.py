@@ -32,11 +32,12 @@ class NotPositiveDefiniteError(ValueError):
     """Cholesky factorization failed: the matrix is not positive definite."""
 
 
-def as_sym(a: np.ndarray, warn_tol: float = ASYM_WARN_TOL) -> np.ndarray:
+def as_sym(a: np.ndarray) -> np.ndarray:
     """Validate and symmetrize a square matrix.
 
-    Kernel sums drift at floating-point level, so asymmetry up to ``warn_tol``
-    is silently averaged out; anything larger is averaged with a warning.
+    Kernel sums drift at floating-point level, so asymmetry up to
+    ``ASYM_WARN_TOL`` is silently averaged out; anything larger is averaged
+    with a warning.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -44,9 +45,9 @@ def as_sym(a: np.ndarray, warn_tol: float = ASYM_WARN_TOL) -> np.ndarray:
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > warn_tol:
+    if asym > ASYM_WARN_TOL:
         warnings.warn(
-            f"symmetrizing matrix with asymmetry {asym:g} > {warn_tol:g}",
+            f"symmetrizing matrix with asymmetry {asym:g} > {ASYM_WARN_TOL:g}",
             stacklevel=2,
         )
     return (a + a.T) / 2.0

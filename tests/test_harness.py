@@ -16,10 +16,16 @@ from ustatboot.harness.config import (
     default_config,
     load_config,
 )
-from ustatboot.harness.experiments import EXPERIMENTS, banded_model, run_experiment
+from ustatboot.harness.experiments import (
+    EXPERIMENTS,
+    _nvh_rep,
+    banded_model,
+    run_experiment,
+)
 from ustatboot.kernels import CovarianceKernel
-from ustatboot.matstat import sup_norm
-from ustatboot.ustat import compute_u
+from ustatboot.matstat import cholesky, sup_norm
+from ustatboot.rngutil import substream
+from ustatboot.ustat import compute_u, sup_stat
 
 
 def small(experiment, **over):
@@ -131,6 +137,19 @@ def test_coverage_replication_follows_stream_layout():
         assert run_experiment(cfg).rows == expected
 
 
+def test_nvh_naive_draw_is_gaussian_ustat_on_its_substream():
+    # the naive statistic is the raw sup of the covariance U-statistic of
+    # N(0, Sigma) rows drawn on substream (seed, tag, r, 2, 0)
+    tag = EXPERIMENT_NAMES.index("naive_vs_hajek")
+    cfg = small("naive_vs_hajek", seed=5)
+    sigma = population_sigma(cfg.build_model())
+    low = cholesky(sigma)
+    for r in range(3):
+        y = substream(cfg.seed, tag, r, 2, 0).standard_normal((cfg.n, cfg.p)) @ low.T
+        expected = sup_stat(compute_u(y, CovarianceKernel()), sigma, "raw")
+        assert _nvh_rep(cfg, r)[1] == expected
+
+
 @pytest.mark.parametrize("name", ["clime_eval", "linfun_eval"])
 def test_l1_defaults_are_not_degenerate(name):
     # lambda* < 1, so theta = 0 is infeasible and no estimate is all zero
@@ -208,6 +227,20 @@ def test_cli_config_error_exit_code(tmp_path):
         ("threshold_eval", {"replications": "2"}),
         ("test_size", {"n": True}),
         ("coverage", {"seed": -1}),
+        ("test_size", {"alpha": "0.05"}),
+        ("test_size", {"alpha": True}),
+        ("coverage", {"beta": True}),
+        ("coverage", {"beta": "1"}),
+        ("threshold_eval", {"tau_delta_const": "abc"}),
+        ("threshold_eval", {"tau_delta_const": True}),
+        ("threshold_eval", {"tau_delta_const": 0.0}),
+        ("threshold_eval", {"tau_delta_const": float("inf")}),
+        ("threshold_eval", {"tau_delta_const": float("nan")}),
+        ("clime_eval", {"m_bound": True}),
+        ("clime_eval", {"m_bound": "2"}),
+        ("linfun_eval", {"m_bound": float("inf")}),
+        ("coverage", {"alpha_grid": [0.05, True]}),
+        ("coverage", {"alpha_grid": ["0.05"]}),
     ],
 )
 def test_cli_degenerate_config_exit_code(tmp_path, name, over):
