@@ -13,6 +13,7 @@ models with entries rho^|m-k|.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -69,6 +70,12 @@ class EllipticalModel:
     def p(self) -> int:
         return self.v.shape[0]
 
+    @functools.cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of V, computed at the first use and kept
+        (not a field, so outside compare and repr)."""
+        return cholesky(self.v)
+
 
 def contaminated_normal(v: np.ndarray, epsilon: float, nu: float, **kw) -> EllipticalModel:
     return EllipticalModel(family=CONTAMINATED, v=v, nu=nu, epsilon=epsilon, **kw)
@@ -105,8 +112,7 @@ def sample(model: EllipticalModel, n: int, seed: SeedLike, *key: int) -> np.ndar
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = substream(seed, *key)
-    low = cholesky(model.v)
-    g = rng.standard_normal((n, model.p)) @ low.T
+    g = rng.standard_normal((n, model.p)) @ model.chol.T
     if model.family == CONTAMINATED:
         mask = rng.random(n) < model.epsilon
         g[mask] *= model.nu
@@ -161,7 +167,16 @@ def model_from_config(cfg: dict[str, Any]) -> EllipticalModel:
     for req in ("family", "nu", "v_kind", "p"):
         if req not in cfg:
             raise ValueError(f"model config missing {req!r}")
-    v = build_v(cfg["v_kind"], int(cfg["p"]), cfg.get("rho"))
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(cfg["p"], bool) or not isinstance(cfg["p"], int):
+        raise ValueError(f"model p must be an integer, got {cfg['p']!r}")
+    for key in ("nu", "epsilon", "rho"):
+        value = cfg.get(key)
+        if (key == "nu" or value is not None) and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+        ):
+            raise ValueError(f"model {key} must be a number, got {value!r}")
+    v = build_v(cfg["v_kind"], cfg["p"], cfg.get("rho"))
     return EllipticalModel(
         family=cfg["family"],
         v=v,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import QuantileEstimate
-from .lp import LpProblem, solve_lp
+from .lp import LpProblem, LpSolution, solve_lp
 from .matstat import frobenius_norm, spectral_norm, sup_norm
 
 __all__ = [
@@ -94,29 +94,37 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     }
 
 
-def _dantzig_block(s_hat: np.ndarray) -> np.ndarray:
-    """Constraint block [[S, -S], [-S, S]] of |S w - b|_inf <= lambda in
-    w = w+ - w-; it does not depend on b or lambda."""
-    return np.block([[s_hat, -s_hat], [-s_hat, s_hat]])
+def _dantzig_lp(s_hat: np.ndarray) -> LpProblem:
+    """The Dantzig LP in w = w+ - w-: c = 1 and the constraint block
+    [[S, -S], [-S, S]] of |S w - b|_inf <= lambda, validated once; neither
+    depends on b or lambda, so each right-hand side comes from ``with_rhs``."""
+    p = s_hat.shape[0]
+    block = np.block([[s_hat, -s_hat], [-s_hat, s_hat]])
+    return LpProblem(c=np.ones(2 * p), a_ub=block, b_ub=np.zeros(2 * p))
 
 
 def _solve_dantzig(
-    s_hat: np.ndarray, a_ub: np.ndarray, b: np.ndarray, lam: float
-) -> LinFunSolution:
-    """The Dantzig LP for validated S, its constraint block and b."""
+    s_hat: np.ndarray,
+    base: LpProblem,
+    b: np.ndarray,
+    lam: float,
+    start: LpSolution | None = None,
+) -> tuple[LinFunSolution, LpSolution]:
+    """The Dantzig LP for validated S, its LP and b, warm-started from
+    ``start`` when given; returns the LP solution too."""
     p = b.size
-    b_ub = np.concatenate([lam + b, lam - b])
-    sol = solve_lp(LpProblem(c=np.ones(2 * p), a_ub=a_ub, b_ub=b_ub))
+    sol = solve_lp(base.with_rhs(np.concatenate([lam + b, lam - b])), start)
     if sol.status != "optimal":
-        return LinFunSolution(theta=None, lam=lam, l1=None, feasible=False)
+        return LinFunSolution(theta=None, lam=lam, l1=None, feasible=False), sol
     theta = sol.x[:p] - sol.x[p:]
     residual = float(np.max(np.abs(s_hat @ theta - b)))
-    return LinFunSolution(
+    est = LinFunSolution(
         theta=theta,
         lam=lam,
         l1=float(np.sum(np.abs(theta))),
         feasible=residual <= lam + FEAS_TOL,
     )
+    return est, sol
 
 
 def solve_dantzig_linfun(
@@ -134,30 +142,32 @@ def solve_dantzig_linfun(
     p = b.size
     if s_hat.shape != (p, p):
         raise ValueError(f"S shape {s_hat.shape} incompatible with b length {p}")
-    return _solve_dantzig(s_hat, _dantzig_block(s_hat), b, lam)
+    return _solve_dantzig(s_hat, _dantzig_lp(s_hat), b, lam)[0]
 
 
 def solve_clime(s_hat: np.ndarray, lam: float) -> np.ndarray:
     """CLIME precision-matrix estimate: p column problems
     min |theta|_1 s.t. |S theta - e_k|_inf <= lambda, symmetrized by keeping
-    the smaller-magnitude entry of each (m, k) pair.  The p LPs share one
-    constraint block and differ only in e_k."""
+    the smaller-magnitude entry of each (m, k) pair.  The p LPs share c and
+    the constraint block and differ only in e_k, so column k starts from
+    column k - 1's optimal basis (cold after an infeasible column)."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     s_hat = np.asarray(s_hat, dtype=np.float64)
     p = s_hat.shape[0]
     if s_hat.shape != (p, p):
         raise ValueError(f"S must be square, got shape {s_hat.shape}")
-    a_ub = _dantzig_block(s_hat)
+    base = _dantzig_lp(s_hat)
     eye = np.eye(p)
     columns = np.empty((p, p))
     bad: list[int] = []
+    sol = None
     for k in range(p):
-        sol = _solve_dantzig(s_hat, a_ub, eye[k], lam)
-        if sol.theta is None or not sol.feasible:
+        est, sol = _solve_dantzig(s_hat, base, eye[k], lam, sol)
+        if est.theta is None or not est.feasible:
             bad.append(k)
         else:
-            columns[:, k] = sol.theta
+            columns[:, k] = est.theta
     if bad:
         raise ClimeInfeasibleError(bad)
     smaller = np.abs(columns) <= np.abs(columns.T)

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ustatboot import distributions
 from ustatboot.distributions import (
     EllipticalModel,
     build_v,
@@ -12,6 +15,8 @@ from ustatboot.distributions import (
     population_sigma,
     sample,
 )
+from ustatboot.matstat import NotPositiveDefiniteError, cholesky
+from ustatboot.rngutil import substream
 
 
 def test_build_v_kinds():
@@ -60,6 +65,38 @@ def test_sample_deterministic_and_shape():
     np.testing.assert_array_equal(a, b)
     assert a.shape == (10, 4)
     assert not np.array_equal(a, sample(m, 10, 0, 2))
+
+
+def test_sample_factors_v_once_per_model(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return cholesky(m)
+
+    monkeypatch.setattr(distributions, "cholesky", counting)
+    m = contaminated_normal(build_v("ar1", 5, rho=0.7), epsilon=0.2, nu=1.5)
+    fresh = contaminated_normal(build_v("ar1", 5, rho=0.7), epsilon=0.2, nu=1.5)
+    assert calls == []  # a model that is never sampled is never factored
+    a = sample(m, 8, 4, 1)
+    b = sample(m, 8, 4, 2)
+    assert len(calls) == 1
+    # the factor is not a field: compare and repr ignore it
+    assert "chol" not in {f.name for f in dataclasses.fields(m)}
+    assert repr(m) == repr(fresh)
+    rng = substream(4, 1)
+    g = rng.standard_normal((8, 5)) @ cholesky(m.v).T
+    mask = rng.random(8) < 0.2
+    g[mask] *= 1.5
+    np.testing.assert_array_equal(a, g)
+    assert not np.array_equal(a, b)
+
+
+def test_sample_non_positive_definite_v_raises_at_first_sample():
+    m = elliptic_t(np.array([[1.0, 2.0], [2.0, 1.0]]), nu=8.0)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefiniteError):
+            sample(m, 4, 0)
 
 
 @pytest.mark.parametrize(

@@ -251,6 +251,26 @@ def test_cli_degenerate_config_exit_code(tmp_path, name, over):
     assert cli_main([name, "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("p", [6.5, 6.0, "6", True]),
+        ("nu", [True, "1.5", None]),
+        ("epsilon", [False, "0.2"]),
+        ("rho", [True, "0.7"]),
+    ],
+)
+def test_cli_nested_model_field_exit_code(tmp_path, field, values):
+    cfg = small("threshold_eval", replications=1)
+    path = tmp_path / "cfg.json"
+    for value in values:
+        model = {**cfg.model, field: value}
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, model=model)
+        path.write_text(json.dumps({**cfg.to_dict(), "model": model}))
+        assert cli_main(["threshold_eval", "--config", str(path)]) == 2
+
+
 def test_cli_requires_experiment():
     assert cli_main([]) == 2
 

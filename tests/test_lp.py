@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ustatboot import lp
 from ustatboot.lp import LpProblem, LpSolution, _pivot, solve_lp
@@ -231,3 +233,117 @@ def test_nonnegative_rhs_skips_phase_one(monkeypatch):
     assert sol.pivots == 2
     # the all-slack start is already optimal for c >= 0
     assert solve_lp(LpProblem(c=[1.0, 0.0], a_ub=[[1, 2]], b_ub=[4])).pivots == 0
+
+
+def test_with_rhs_shares_validated_block_and_checks_b():
+    base = LpProblem(c=[1.0, 2.0], a_ub=[[1.0, 0.0], [0.0, 1.0]], b_ub=[1.0, 1.0])
+    new = base.with_rhs([3, -1])
+    assert new.c is base.c and new.a_ub is base.a_ub
+    assert new.b_ub.dtype == np.float64
+    np.testing.assert_array_equal(new.b_ub, [3.0, -1.0])
+    with pytest.raises(ValueError):
+        base.with_rhs([1.0, np.nan])
+    with pytest.raises(ValueError):
+        base.with_rhs([1.0, 2.0, 3.0])
+
+
+def _clime_column_lp(s, k, lam):
+    """CLIME column k: min 1^T w s.t. |S (w+ - w-) - e_k|_inf <= lam."""
+    p = s.shape[0]
+    e = np.eye(p)[k]
+    a = np.block([[s, -s], [-s, s]])
+    return LpProblem(c=np.ones(2 * p), a_ub=a, b_ub=np.concatenate([lam + e, lam - e]))
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=2, max_value=7),
+    st.floats(0.01, 1.2),
+)
+@settings(max_examples=80, deadline=None)
+def test_warm_and_cold_clime_columns_agree(seed, p, lam):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((int(rng.integers(p // 2 + 1, 4 * p)), p))
+    s = x.T @ x / x.shape[0]
+    k = int(rng.integers(1, p))
+    start = solve_lp(_clime_column_lp(s, k - 1, lam))
+    problem = _clime_column_lp(s, k, lam)
+    warm = solve_lp(problem, start)
+    cold = solve_lp(problem)
+    assert warm.status == cold.status
+    if cold.status != "optimal":
+        return
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=1e-12)
+    if np.array_equal(np.sort(warm.basis), np.sort(cold.basis)):
+        np.testing.assert_array_equal(warm.x, cold.x)
+
+
+def test_dual_ratio_tie_enters_smallest_index():
+    # row 0 is infeasible; columns 0 and 1 tie on ratio 0 (dual degenerate),
+    # so column 0 enters and the optimum x0 = 1 is reached in one pivot
+    tab = np.array(
+        [
+            [-1.0, -1.0, 1.0, -1.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    basis = np.array([2])
+    assert lp._dual_simplex(tab, basis, 3) == ("optimal", 1)
+    np.testing.assert_array_equal(basis, [0])
+    np.testing.assert_array_equal(tab[0], [1.0, 1.0, -1.0, 1.0])
+
+
+def test_dual_degenerate_warm_starts_terminate():
+    # c = 0 makes every reduced cost zero, so every dual ratio test is a tie
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 4))
+    base = LpProblem(c=np.zeros(4), a_ub=a, b_ub=np.ones(4))
+    start = solve_lp(base)
+    warm_pivots = 0
+    for _ in range(40):
+        problem = base.with_rhs(rng.uniform(-1.0, 1.0, size=4))
+        warm, cold = solve_lp(problem, start), solve_lp(problem)
+        assert warm.status == cold.status
+        if warm.status == "optimal":
+            assert warm.objective == 0.0
+            assert np.all(a @ warm.x <= problem.b_ub + 1e-9)
+            assert np.all(warm.x >= -1e-9)
+            warm_pivots += warm.pivots
+            start = warm
+    assert warm_pivots > 0
+
+
+@pytest.mark.parametrize("change", ["a_ub", "c", "shape"])
+def test_start_from_another_lp_solves_cold(change):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((40, 4))
+    s = x.T @ x / 40
+    problem = _clime_column_lp(s, 1, 0.2)
+    if change == "a_ub":
+        other = _clime_column_lp(s + 0.3 * np.eye(4), 0, 0.2)
+    elif change == "c":
+        # weighted l1: its optimal basis has a negative reduced cost under c = 1
+        c = np.concatenate([[5.0, 0.1, 0.1, 0.1], [0.1, 5.0, 5.0, 5.0]])
+        other = LpProblem(c, problem.a_ub, _clime_column_lp(s, 0, 0.2).b_ub)
+    else:
+        other = _clime_column_lp(s[:3, :3], 0, 0.2)
+    start = solve_lp(other)
+    assert start.status == "optimal"
+    warm, cold = solve_lp(problem, start), solve_lp(problem)
+    assert (warm.status, warm.objective, warm.pivots) == (
+        cold.status, cold.objective, cold.pivots
+    )
+    np.testing.assert_array_equal(warm.x, cold.x)
+    np.testing.assert_array_equal(warm.basis, cold.basis)
+    np.testing.assert_array_equal(warm.basis_inv, cold.basis_inv)
+
+
+def test_warm_start_from_its_own_optimum_takes_no_pivot():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((30, 5))
+    problem = _clime_column_lp(x.T @ x / 30, 2, 0.3)
+    cold = solve_lp(problem)
+    warm = solve_lp(problem, cold)
+    assert cold.pivots > 0 and warm.pivots == 0
+    np.testing.assert_array_equal(warm.x, cold.x)
+    assert warm.objective == cold.objective
