@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernels import Kernel, check_data
 from .matstat import vech
-from .rngutil import SeedLike, substream, substream_normals
+from .rngutil import SeedLike, substream
 from .ustat import UStatResult, check_scaling, compute_u, sup_stat, vech_columns
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "quantile",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoupledGEstimates:
     """Per-row Hajek projection estimates ghat_i, half-vectorized (row i is
     ``vech(ghat_i)``: ghat_i is symmetric, so this holds every distinct
@@ -65,7 +65,7 @@ class DecoupledGEstimates:
         return self.train_u.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapDraws:
     """Sorted multiplier-bootstrap draws defining the quantile function."""
 
@@ -134,17 +134,21 @@ def draw_bootstrap(
     seed: SeedLike = 0,
     *key: int,
 ) -> BootstrapDraws:
-    """Generate b multiplier draws; draw d uses the substream (seed, *key, d)
-    so results do not depend on execution order or parallelism.  All b
-    multiplier vectors form one (b, n) matrix, and the draws are one GEMM
-    with the (n, p(p+1)/2) matrix ``g.g_hat`` (all entries, as it is) or
-    its off-diagonal columns."""
+    """Generate b multiplier draws from the one substream (seed, *key).
+
+    The b multiplier vectors are the rows of one (b, n) standard normal
+    matrix from that substream, filled in row order, so draw d depends only
+    on (seed, key, n, d): the draws of a smaller b are a prefix of those of
+    a larger one, and results do not depend on execution order or
+    parallelism.  The draws are one GEMM with the (n, p(p+1)/2) matrix
+    ``g.g_hat`` (all entries, as it is) or its off-diagonal columns; every
+    scaling and restriction uses the same multiplier rows."""
     if b < 1:
         raise ValueError("b must be >= 1")
     check_scaling(scaling)
     mat = g.g_hat[:, vech_columns(g.p, restriction)]
     n = g.n
-    s = substream_normals(seed, *key, rows=b, cols=n) @ mat
+    s = substream(seed, *key).standard_normal((b, n)) @ mat
     if scaling == "raw":
         values = s.max(axis=1) / math.sqrt(n)
     else:

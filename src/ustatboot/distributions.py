@@ -14,7 +14,7 @@ models with entries rho^|m-k|.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -40,7 +40,7 @@ ELLIPTIC_T = "elliptic_t"
 _V_KINDS = ("d1", "ar1", "identity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EllipticalModel:
     """Generative spec: family, tail parameters, and scale matrix V."""
 
@@ -49,8 +49,8 @@ class EllipticalModel:
     nu: float
     epsilon: float | None = None
     # retained so the model round-trips through the JSON config
-    v_kind: str | None = field(default=None, compare=False)
-    rho: float | None = field(default=None, compare=False)
+    v_kind: str | None = None
+    rho: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "v", as_sym(self.v))
@@ -73,7 +73,7 @@ class EllipticalModel:
     @functools.cached_property
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of V, computed at the first use and kept
-        (not a field, so outside compare and repr)."""
+        (not a field, so outside repr)."""
         return cholesky(self.v)
 
 

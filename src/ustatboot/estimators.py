@@ -40,7 +40,7 @@ class ClimeInfeasibleError(RuntimeError):
         super().__init__(f"CLIME infeasible for columns {columns}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinFunSolution:
     """Dantzig-type solution with its feasibility certificate."""
 

@@ -52,7 +52,7 @@ def _checked_rhs(b_ub, m: int | None = None) -> np.ndarray:
     return b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """min c^T x  s.t.  A x <= b,  x >= 0."""
 
@@ -85,7 +85,7 @@ class LpProblem:
         return new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
@@ -95,8 +95,8 @@ class LpSolution:
     pivots: int
     # optimal basis (row order) and its inverse B^-1, the slack block of the
     # final tableau; None unless optimal with no artificial left basic
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
-    basis_inv: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray | None = field(default=None, repr=False)
+    basis_inv: np.ndarray | None = field(default=None, repr=False)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:

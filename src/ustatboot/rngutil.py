@@ -1,10 +1,12 @@
 """Deterministic random-number substreams.
 
 Every stochastic routine in this package is keyed by an integer master seed
-plus a tuple of non-negative integers identifying the unit of work (bootstrap
-draw, replication, sampled row block, ...).  Substreams derived from the same
-(seed, key) are identical regardless of execution order or worker count, so
-parallel runs are exactly reproducible.
+plus a tuple of non-negative integers identifying the unit of work
+(replication, sample, split, bootstrap, ...).  A unit of work draws all of
+its random numbers from its one substream; a bootstrap, for instance, takes
+its B multiplier vectors as the rows of one matrix.  Substreams derived from
+the same (seed, key) are identical regardless of execution order or worker
+count, so parallel runs are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -31,18 +33,3 @@ def substream(seed: SeedLike, *key: int) -> np.random.Generator:
     """Generator for the substream identified by ``(seed, *key)``."""
     return np.random.default_rng(seed_sequence(seed, *key))
 
-
-def substream_normals(seed: SeedLike, *key: int, rows: int, cols: int) -> np.ndarray:
-    """(rows, cols) standard normals whose row d is, bit for bit,
-    ``substream(seed, *key, d).standard_normal(cols)``.
-
-    The base SeedSequence is built once and each row is filled in place.
-    A caller's SeedSequence is only read, never spawned from.
-    """
-    base = seed_sequence(seed)
-    prefix = base.spawn_key + tuple(key)
-    out = np.empty((rows, cols))
-    for d in range(rows):
-        ss = np.random.SeedSequence(base.entropy, spawn_key=prefix + (d,))
-        np.random.Generator(np.random.PCG64(ss)).standard_normal(out=out[d])
-    return out

@@ -31,7 +31,7 @@ SCALINGS = ("raw", "applications")
 RESTRICTIONS = ("all", "offdiag")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UStatResult:
     """U-statistic value together with the sample size."""
 

@@ -17,6 +17,7 @@ from ustatboot.bootstrap import (
 )
 from ustatboot.kernels import CovarianceKernel, KendallKernel
 from ustatboot.matstat import vech
+from ustatboot.rngutil import substream
 from ustatboot.ustat import UStatResult
 
 
@@ -92,7 +93,7 @@ def test_draw_bootstrap_deterministic_and_sorted():
 
 
 def test_draw_bootstrap_prefix_property():
-    # draw d only depends on (seed, key, d): a longer run extends a shorter one
+    # draw d only depends on (seed, key, n, d): a longer run extends a shorter one
     g = _toy_g()
     short = draw_bootstrap(g, 20, "raw", "all", 5, 9)
     long = draw_bootstrap(g, 40, "raw", "all", 5, 9)
@@ -100,44 +101,37 @@ def test_draw_bootstrap_prefix_property():
 
 
 def test_draw_bootstrap_matches_manual_computation():
-    from ustatboot.rngutil import substream
-
     g = _toy_g()
     draws = draw_bootstrap(g, 5, "applications", "all", 11)
     flat = g.g_hat
     n = g.n
-    manual = []
-    for d in range(5):
-        e = substream(11, d).standard_normal(n)
-        manual.append(2.0 * np.max(np.abs(e @ flat)) / n)
+    e = substream(11).standard_normal((5, n))  # row d is draw d
+    manual = [2.0 * np.max(np.abs(e[d] @ flat)) / n for d in range(5)]
     np.testing.assert_allclose(draws.values, np.sort(manual), atol=1e-12)
 
 
 def test_draw_bootstrap_raw_scaling_is_signed_max():
-    from ustatboot.rngutil import substream
-
     g = _toy_g()
     draws = draw_bootstrap(g, 5, "raw", "all", 13)
     flat = g.g_hat
-    manual = [
-        np.max(substream(13, d).standard_normal(g.n) @ flat) / math.sqrt(g.n)
-        for d in range(5)
-    ]
+    e = substream(13).standard_normal((5, g.n))
+    manual = [np.max(e[d] @ flat) / math.sqrt(g.n) for d in range(5)]
     np.testing.assert_allclose(draws.values, np.sort(manual), atol=1e-12)
 
 
 def _draw_loop(g, b, scaling, restriction, seed, *key):
-    """Per-draw reference: one substream and one mat-vec per draw."""
+    """Per-draw reference: row d of the one substream (seed, *key) and one
+    mat-vec per draw."""
     from ustatboot.matstat import vech_pairs
-    from ustatboot.rngutil import substream
 
     flat = g.g_hat
     if restriction == "offdiag":
         rows, cols = vech_pairs(g.p)
         flat = flat[:, rows != cols]
+    e = substream(seed, *key).standard_normal((b, g.n))
     values = []
     for d in range(b):
-        s = substream(seed, *key, d).standard_normal(g.n) @ flat
+        s = e[d] @ flat
         if scaling == "raw":
             values.append(np.max(s) / math.sqrt(g.n))
         else:
@@ -158,6 +152,53 @@ def test_draw_bootstrap_matches_per_draw_loop(kernel, b, scaling, restriction):
     np.testing.assert_allclose(
         draws.values, _draw_loop(g, b, scaling, restriction, 17, 3, 2), atol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 42, np.random.SeedSequence(99), np.random.SeedSequence(5, spawn_key=(3,))]
+)
+@pytest.mark.parametrize("key", [(), (1,), (2, 0, 7)])
+@pytest.mark.parametrize("rows", [1, 6])
+def test_draw_bootstrap_rows_are_one_substream(seed, key, rows):
+    # a caller's SeedSequence, spawned or not, is keyed like an int seed
+    g = _toy_g()
+    e = substream(seed, *key).standard_normal((rows, g.n))
+    expected = np.sort(np.max(e @ g.g_hat, axis=1)) / math.sqrt(g.n)
+    got = draw_bootstrap(g, rows, "raw", "all", seed, *key)
+    np.testing.assert_allclose(got.values, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_draw_bootstrap_does_not_spawn_from_caller_sequence():
+    ss = np.random.SeedSequence(99)
+    draw_bootstrap(_toy_g(), 3, "raw", "all", ss, 4)
+    draw_bootstrap(_toy_g(), 3, "applications", "offdiag", ss)
+    assert ss.n_children_spawned == 0
+
+
+def test_scalings_and_restrictions_share_multiplier_rows():
+    # every column of g_hat has its negation among the off-diagonal columns
+    # and the diagonal columns repeat off-diagonal ones, so on shared
+    # multiplier rows all four statistics are one sup |e_d^T ghat| at their
+    # own scale
+    n, p = 30, 4
+    half = np.random.default_rng(9).standard_normal((n, 3))
+    g_hat = np.empty((n, p * (p + 1) // 2))
+    diag = vech(np.eye(p)) == 1.0
+    g_hat[:, ~diag] = np.hstack([half, -half])
+    g_hat[:, diag] = np.hstack([half[:, :2], -half[:, :2]])
+    g = DecoupledGEstimates(g_hat=g_hat, train_u=np.zeros((p, p)))
+    sup = {
+        (scaling, restriction): draw_bootstrap(g, 50, scaling, restriction, 21, 8).values
+        for scaling in ("raw", "applications")
+        for restriction in ("all", "offdiag")
+    }
+    for restriction in ("all", "offdiag"):
+        np.testing.assert_allclose(
+            sup["raw", restriction] * math.sqrt(n),
+            sup["applications", restriction] * n / 2.0,
+            rtol=1e-12,
+        )
+    np.testing.assert_allclose(sup["raw", "offdiag"], sup["raw", "all"], rtol=1e-12)
 
 
 def test_covariance_bootstrap_builds_no_dense_g_tensor():
