@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernels import Kernel, check_data
 from .matstat import vech
-from .rngutil import SeedLike, substream
+from .rngutil import SeedLike, substream, substream_normals
 from .ustat import UStatResult, check_scaling, compute_u, sup_stat, vech_columns
 
 __all__ = [
@@ -148,7 +148,7 @@ def draw_bootstrap(
     check_scaling(scaling)
     mat = g.g_hat[:, vech_columns(g.p, restriction)]
     n = g.n
-    s = substream(seed, *key).standard_normal((b, n)) @ mat
+    s = substream_normals(seed, *key, rows=b, cols=n) @ mat
     if scaling == "raw":
         values = s.max(axis=1) / math.sqrt(n)
     else:

@@ -33,3 +33,8 @@ def substream(seed: SeedLike, *key: int) -> np.random.Generator:
     """Generator for the substream identified by ``(seed, *key)``."""
     return np.random.default_rng(seed_sequence(seed, *key))
 
+
+def substream_normals(seed: SeedLike, *key: int, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) standard normals from the one substream ``(seed, *key)``,
+    filled in row order, so row d depends only on (seed, key, cols, d)."""
+    return substream(seed, *key).standard_normal((rows, cols))
