@@ -1,6 +1,6 @@
 """Gaussian wild bootstrap for sup-norms of matrix U-statistics.
 
-Core pipeline: order-two matrix kernels (covariance, Kendall concordance),
+Core pipeline: order-two matrix kernels (covariance, Kendall sign product),
 Hoeffding decomposition utilities, the decoupled Hajek-projection estimator,
 multiplier-bootstrap quantiles, and the statistical applications built on
 them (sup-norm tests, adaptive covariance thresholding, CLIME / Dantzig

@@ -79,11 +79,14 @@ def test_kendall(
     seed: SeedLike = 0,
     *key: int,
 ) -> TestResult:
-    """H0: Kendall's tau matrix = T0.
+    """H0: Kendall's tau-a matrix = T0 off the diagonal.
 
-    The concordance kernel has mean matrix T + 11^T, so T0 is shifted up by
-    one per entry to compare on the kernel scale; the shift cancels in the
-    decoupled Hajek estimates.
+    Tau-a counts a pair with a tie in either coordinate as neither
+    concordant nor discordant, so its diagonal is the share of untied pairs
+    (1 for continuous data) and only the off-diagonal entries are tested.
+    The sign-product kernel has mean matrix tau_a + 11^T, so T0 is shifted
+    up by one per entry to compare on the kernel scale; the shift cancels in
+    the decoupled Hajek estimates.
     """
     t0 = as_sym(t0)
     return _run_test(

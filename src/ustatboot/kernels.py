@@ -1,8 +1,8 @@
 """Order-two symmetric matrix-valued kernels.
 
 Two concrete kernels are provided: the sample-covariance kernel
-h(x1, x2) = (x1 - x2)(x1 - x2)^T / 2 and the Kendall concordance kernel
-h_mk(x1, x2) = 2 * 1{(x1m - x2m)(x1k - x2k) > 0}.  User kernels plug in
+h(x1, x2) = (x1 - x2)(x1 - x2)^T / 2 and the Kendall sign-product kernel
+h(x1, x2) = s s^T + 1 with s = sign(x1 - x2).  User kernels plug in
 through :class:`CustomKernel`.
 
 Besides single-pair evaluation, each kernel exposes two batched operations
@@ -17,28 +17,16 @@ possible:
   mean.  The bootstrap reads only these distinct entries, so no (n_x, p, p)
   array is built.
 
-Kendall as a sign-matrix product: with s = sign(x1 - x2) and a = |s|,
-2 * 1{s_m s_k > 0} = s_m s_k + a_m a_k exactly, ties included, so sums of h
-over a set of pairs are S^T S + A^T A for the stacked sign rows S and their
-absolute values A.  S holds values in {-1, 0, 1} and is stored as float32;
-every partial sum of its products is an integer, and float32 holds integers
-exactly up to 2^24, so each block product is exact (size bounds at
+Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
+h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
+stacked sign rows S.  Where neither coordinate ties (almost surely for
+continuous laws), s_m s_k + 1 = 2 * 1{s_m s_k > 0}, the concordance kernel
+of the paper; for every law, ties included, E h = tau_a + 1 with tau_a
+Kendall's tau-a matrix.  S holds values in {-1, 0, 1} and is stored as
+float32; every partial sum of its products is an integer, and float32 holds
+integers exactly up to 2^24, so each block product is exact (size bounds at
 ``_KENDALL_BLOCK``).  Blocks accumulate in float64, and results are
 bit-identical to the pair loop of :class:`Kernel`.
-
-A^T A is a count, not a product.  Over a block of N active pairs, a_m is 1 on
-every pair unless column m has a tie, so (A^T A)[m, k] is N when neither
-column is tied, the number of untied pairs of column m when only m is tied,
-and the product of the two tied columns' |s| when both are.  The kernels find
-the columns where the compared data repeat a value (one sort per column; a
-superset of the truly tied columns, which changes no count) and multiply only
-B = [|S[:, tied]|, 1_active], whose small Gram holds every entry of A^T A.
-The counts are the same integers the full product gives, so results do not
-change by a bit; data without ties run one float32 product per block, not two.
-
-Kendall ties: the indicator is strictly positive, so tied coordinates
-contribute 0 (the continuous-distribution convention; discrete data users
-should be aware no half-credit correction is applied).
 """
 
 from __future__ import annotations
@@ -100,30 +88,6 @@ def _signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     np.greater(x, y, out=s)
     s -= np.less(x, y)
     return s
-
-
-def _tied_columns(data: np.ndarray) -> np.ndarray:
-    """Indices of the columns of ``data`` that repeat a value: every column
-    where two of its rows can tie, and possibly more."""
-    srt = np.sort(data, axis=0)
-    return np.flatnonzero((srt[1:] == srt[:-1]).any(axis=0))
-
-
-def _abs_gram_slots(p: int, tied: np.ndarray) -> np.ndarray:
-    """Column of B = [|S[:, tied]|, 1_active] that stands for each data
-    column in A^T A: its own if tied, else the active-pair indicator."""
-    slots = np.full(p, tied.size)
-    slots[tied] = np.arange(tied.size)
-    return slots
-
-
-def _abs_gram(s: np.ndarray, tied: np.ndarray, active: np.ndarray | float) -> np.ndarray:
-    """B^T B for sign rows s (..., N, p), with B = [|s[..., tied]|, active]
-    and ``active`` the 0/1 indicator of the N pairs (or the scalar 1)."""
-    b = np.empty(s.shape[:-1] + (tied.size + 1,), dtype=np.float32)
-    np.abs(s[..., tied], out=b[..., :-1])
-    b[..., -1] = active
-    return np.matmul(b.swapaxes(-1, -2), b)
 
 
 class Kernel:
@@ -192,54 +156,50 @@ class CovarianceKernel(Kernel):
 
 
 class KendallKernel(Kernel):
-    """h_mk(x1, x2) = 2 * 1{(x1m - x2m)(x1k - x2k) > 0}; entries in {0, 2}.
+    """h(x1, x2) = s s^T + 1 with s = sign(x1 - x2); entries in {0, 1, 2}.
 
-    The batched operations are exact float32 sign-matrix products (see the
-    module docstring).
+    Entry (m, k) is 2 for a concordant pair of coordinates, 0 for a
+    discordant one and 1 where either ties, so E h = tau_a + 1.  The batched
+    operations are exact float32 sign-matrix products (see the module
+    docstring).
     """
 
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         x1, x2 = _check_pair(x1, x2)
-        d = x1 - x2
-        pos = (d > 0).astype(np.float64)
-        neg = (d < 0).astype(np.float64)
-        return 2.0 * (np.outer(pos, pos) + np.outer(neg, neg))
+        s = np.sign(x1 - x2)
+        return np.outer(s, s) + 1.0
 
     def u_stat(self, data: np.ndarray) -> np.ndarray:
         # unordered pairs i < j only: block rows against every later row,
-        # with the block's own pairs j <= i zeroed out of the sign matrix
+        # with the block's own pairs j <= i zeroed out of the sign matrix;
+        # the "+ 1" of every pair starts the sum
         data = check_data(data)
         n, p = data.shape
-        tied = _tied_columns(data)
-        slots = _abs_gram_slots(p, tied)
-        abs_entries = np.ix_(slots, slots)
-        acc = np.zeros((p, p))
+        pairs = n * (n - 1) / 2
+        acc = np.full((p, p), pairs)
         for start in range(0, n, _KENDALL_BLOCK):
             block = data[start : start + _KENDALL_BLOCK]
             s = _signs(block, data[start:])
-            done = np.tril(np.ones(s.shape[:2], dtype=bool))
-            s[done] = 0.0
+            s[np.tril(np.ones(s.shape[:2], dtype=bool))] = 0.0
             s = s.reshape(-1, p)
             acc += s.T @ s
-            acc += _abs_gram(s, tied, ~done.reshape(-1))[abs_entries]
-        return acc / (n * (n - 1) / 2)
+        return acc / pairs
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # every pair (x_i, y_j) is active; each block's p x p products are
-        # half-vectorized straight into the output rows
+        # each block's p x p products are half-vectorized straight into the
+        # output rows, which get the "+ 1" of their n_y pairs while the block
+        # is still in cache
         xs, ys = _check_samples(xs, ys)
         n_x, p = xs.shape
+        n_y = ys.shape[0]
         rows, cols = vech_pairs(p)
-        tied = _tied_columns(np.vstack([xs, ys]))
-        slots = _abs_gram_slots(p, tied)
-        slot_rows, slot_cols = slots[rows], slots[cols]
         out = np.empty((n_x, rows.size))
         for start in range(0, n_x, _KENDALL_BLOCK):
             s = _signs(xs[start : start + _KENDALL_BLOCK], ys)
             block = out[start : start + _KENDALL_BLOCK]
             block[...] = np.matmul(s.transpose(0, 2, 1), s)[:, rows, cols]
-            block += _abs_gram(s, tied, 1.0)[:, slot_rows, slot_cols]
-        out /= ys.shape[0]
+            block += n_y
+        out /= n_y
         return out
 
 

@@ -46,8 +46,10 @@ def compute_u(data: np.ndarray, kernel: Kernel) -> UStatResult:
 
 
 def kendall_tau_matrix(data: np.ndarray) -> np.ndarray:
-    """Kendall's tau rank correlation matrix: the concordance-kernel
-    U-statistic shifted down by 1; entries in [-1, 1]."""
+    """Kendall's tau-a rank correlation matrix: the sign-product kernel
+    U-statistic shifted down by 1, C(n,2)^{-1} sum over i<j of s_ij s_ij^T
+    with s_ij = sign(X_i - X_j); entries in [-1, 1].  A pair tied in either
+    coordinate adds 0, so the diagonal is the share of untied pairs."""
     data = check_data(data)
     return KendallKernel().u_stat(data) - 1.0
 

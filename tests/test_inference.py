@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,31 @@ def test_kendall_test_shift_invariance(m1_data):
     assert a.critical_value == b.critical_value
     assert b.statistic >= 0.9 - a.statistic - 1e-12
     assert b.reject
+
+
+def _binomial_band(reps, prob, tail):
+    """Least and greatest counts c with P(X <= c) >= tail and
+    P(X >= c) >= tail, for X ~ Binomial(reps, prob)."""
+    pmf = np.array(
+        [math.comb(reps, k) * prob**k * (1 - prob) ** (reps - k) for k in range(reps + 1)]
+    )
+    cdf, sf = np.cumsum(pmf), np.cumsum(pmf[::-1])[::-1]
+    inside = np.flatnonzero((cdf >= tail) & (sf >= tail))
+    return int(inside[0]), int(inside[-1])
+
+
+def test_kendall_test_size_on_tied_data():
+    # independent 3-level columns: a pair ties in a column with probability
+    # 1/3 and the true off-diagonal tau_a is 0, so the level-0.05 test of
+    # T0 = I must reject at about rate 0.05
+    reps, alpha = 200, 0.05
+    rng = np.random.default_rng(15)
+    rejections = 0
+    for rep in range(reps):
+        data = rng.integers(0, 3, (400, 10)).astype(np.float64)
+        rejections += kendall_test(data, np.eye(10), alpha, 200, 15, rep).reject
+    lo, hi = _binomial_band(reps, alpha, 1e-4)
+    assert lo <= rejections <= hi, (rejections, lo, hi)
 
 
 def test_ustat_mean_custom_restriction(m1_data):

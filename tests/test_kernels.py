@@ -101,11 +101,12 @@ def test_kendall_u_stat_equals_pair_loop_exactly(n, p, ties):
 )
 @settings(max_examples=30, deadline=None)
 def test_kendall_u_stat_is_off_diagonal_cross_mean(n, p, ties, seed):
-    # h(x, x) = 0, so n * cross_mean(data, data) summed over rows counts every
-    # ordered pair i != j: twice the unordered-pair sum behind u_stat
+    # h(x, x) is the all-ones matrix, so n * cross_mean(data, data) summed
+    # over rows, less the n self-pairs, counts every ordered pair i != j:
+    # twice the unordered-pair sum behind u_stat
     data = _kendall_sample(np.random.default_rng(seed), (n, p), ties)
     k = KendallKernel()
-    counts = unvech(np.rint(k.cross_mean(data, data) * n).sum(axis=0), p)
+    counts = unvech(np.rint(k.cross_mean(data, data) * n).sum(axis=0), p) - n
     np.testing.assert_array_equal(k.u_stat(data), counts / (n * (n - 1)))
 
 
@@ -166,9 +167,10 @@ def test_kendall_entries_and_ties():
     h = k(np.array([1.0, 2.0]), np.array([0.0, 3.0]))
     # first coordinate concordant only with itself
     np.testing.assert_array_equal(h, np.array([[2.0, 0.0], [0.0, 2.0]]))
-    # tied coordinate contributes zero everywhere
+    # a tied coordinate is neither concordant nor discordant: 1 in its row
+    # and column, so it adds 0 to tau_a
     h_tie = k(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(h_tie, np.array([[0.0, 0.0], [0.0, 2.0]]))
+    np.testing.assert_array_equal(h_tie, np.array([[1.0, 1.0], [1.0, 2.0]]))
 
 
 def test_kendall_diagonal_is_two_without_ties():

@@ -67,6 +67,22 @@ def test_kendall_tau_perfect_monotone():
     np.testing.assert_allclose(tau, expected, atol=1e-12)
 
 
+def test_kendall_tau_matrix_is_tau_a_on_tied_data():
+    # tau_a from its definition: C(n,2)^{-1} sum over i<j of s_m s_k with
+    # s = sign(X_i - X_j), so a pair tied in either coordinate adds 0
+    rng = np.random.default_rng(8)
+    n, p = 40, 4
+    data = rng.integers(0, 3, (n, p)).astype(np.float64)
+    data[:, 1] += data[:, 0]
+    tau = np.zeros((p, p))
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            s = np.sign(data[i] - data[j])
+            tau += np.outer(s, s)
+    tau /= n * (n - 1) / 2
+    np.testing.assert_allclose(kendall_tau_matrix(data), tau, atol=1e-12)
+
+
 def test_kendall_tau_arcsine_law():
     # bivariate normal with correlation r has tau = (2/pi) arcsin(r)
     rho = 0.5
