@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bootstrap import QuantileEstimate
-from .lp import LpProblem, LpSolution, solve_lp
+from .lp import LpProblem, solve_lp
 from .matstat import frobenius_norm, spectral_norm, sup_norm
 
 __all__ = [
@@ -104,27 +104,21 @@ def _dantzig_lp(s_hat: np.ndarray) -> LpProblem:
 
 
 def _solve_dantzig(
-    s_hat: np.ndarray,
-    base: LpProblem,
-    b: np.ndarray,
-    lam: float,
-    start: LpSolution | None = None,
-) -> tuple[LinFunSolution, LpSolution]:
-    """The Dantzig LP for validated S, its LP and b, warm-started from
-    ``start`` when given; returns the LP solution too."""
+    s_hat: np.ndarray, base: LpProblem, b: np.ndarray, lam: float
+) -> LinFunSolution:
+    """The Dantzig LP for validated S, its LP and b."""
     p = b.size
-    sol = solve_lp(base.with_rhs(np.concatenate([lam + b, lam - b])), start)
+    sol = solve_lp(base.with_rhs(np.concatenate([lam + b, lam - b])))
     if sol.status != "optimal":
-        return LinFunSolution(theta=None, lam=lam, l1=None, feasible=False), sol
+        return LinFunSolution(theta=None, lam=lam, l1=None, feasible=False)
     theta = sol.x[:p] - sol.x[p:]
     residual = float(np.max(np.abs(s_hat @ theta - b)))
-    est = LinFunSolution(
+    return LinFunSolution(
         theta=theta,
         lam=lam,
         l1=float(np.sum(np.abs(theta))),
         feasible=residual <= lam + FEAS_TOL,
     )
-    return est, sol
 
 
 def solve_dantzig_linfun(
@@ -142,15 +136,15 @@ def solve_dantzig_linfun(
     p = b.size
     if s_hat.shape != (p, p):
         raise ValueError(f"S shape {s_hat.shape} incompatible with b length {p}")
-    return _solve_dantzig(s_hat, _dantzig_lp(s_hat), b, lam)[0]
+    return _solve_dantzig(s_hat, _dantzig_lp(s_hat), b, lam)
 
 
 def solve_clime(s_hat: np.ndarray, lam: float) -> np.ndarray:
     """CLIME precision-matrix estimate: p column problems
     min |theta|_1 s.t. |S theta - e_k|_inf <= lambda, symmetrized by keeping
-    the smaller-magnitude entry of each (m, k) pair.  The p LPs share c and
-    the constraint block and differ only in e_k, so column k starts from
-    column k - 1's optimal basis (cold after an infeasible column)."""
+    the smaller-magnitude entry of each (m, k) pair.  The p LPs share c = 1
+    and one validated constraint block and differ only in e_k; each is
+    solved on its own from the slack basis."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     s_hat = np.asarray(s_hat, dtype=np.float64)
@@ -161,9 +155,8 @@ def solve_clime(s_hat: np.ndarray, lam: float) -> np.ndarray:
     eye = np.eye(p)
     columns = np.empty((p, p))
     bad: list[int] = []
-    sol = None
     for k in range(p):
-        est, sol = _solve_dantzig(s_hat, base, eye[k], lam, sol)
+        est = _solve_dantzig(s_hat, base, eye[k], lam)
         if est.theta is None or not est.feasible:
             bad.append(k)
         else:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
+from ..lp import SimplexError
 from ..matstat import NotPositiveDefiniteError
 from .config import EXPERIMENT_NAMES, ConfigError, default_config, load_config
 from .experiments import run_experiment
@@ -110,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         result = run_experiment(cfg)
     except (
         NotPositiveDefiniteError,
+        SimplexError,
         np.linalg.LinAlgError,
         FloatingPointError,
     ) as exc:

@@ -1,35 +1,23 @@
-"""Dense simplex for small linear programs, with warm starts.
+"""Dense simplex for small linear programs with a nonnegative cost.
 
-Problems are stated as  min c^T x  subject to  A x <= b, x >= 0.  Slack
-variables turn the constraints into equalities.
+Problems are stated as  min c^T x  subject to  A x <= b, x >= 0,  with
+c >= 0.  Slack variables turn the constraints into equalities, and every
+solve starts from the tableau [A I | b] with the slack basis.  Its reduced
+costs are c itself, so with c >= 0 that basis is dual feasible whatever the
+sign of b: a dual simplex drives the rhs to >= 0, or finds a row that proves
+the problem infeasible, and a primal pass then certifies optimality.  The
+objective is bounded below by 0, so that pass cannot find the problem
+unbounded.  Bland's smallest-index rule decides both the entering and the
+leaving choice in both passes, so neither can cycle.
 
-Cold solve: a two-phase primal simplex.  Rows with b >= 0 start with their
-slack in the basis; only rows with b < 0 (sign-flipped) get an artificial
-variable, and phase 1 minimizes the sum of those.  Bland's smallest-index
-rule is used for both the entering and leaving choices, so the method cannot
-cycle.
-
-Warm solve: ``solve_lp(problem, start)`` with ``start`` the optimal solution
-of an LP with the same c and A (only b differs, as between the column
-problems of CLIME).  The reduced costs c - c_B B^-1 A do not depend on b, so
-the start's optimal basis is still dual feasible; the tableau is rebuilt as
-B^-1 [A I | b] from the basis inverse the start carries, and a dual simplex
-(smallest-index rule on both choices) drives B^-1 b back to >= 0.  A primal
-pass then certifies optimality.  A start whose basis columns do not reduce
-to I under its inverse, or whose reduced costs are negative for this c, is
-ignored and the problem is solved cold; so is a warm solve that finds no
-feasible point, so an infeasible status always comes from phase 1.
-
-In both paths x is read from the final basis alone: one linear solve with
-the basic columns of [A I] in sorted index order.  Warm and cold solves that
-end on the same basis therefore return bit-identical x.  When an artificial
-stays basic (a redundant row), x is read from the tableau instead.  Intended
-for the CLIME / Dantzig column problems (a few hundred variables at most).
+x is read from the final basis alone: one linear solve with the basic
+columns of [A I] in sorted index order.  Intended for the CLIME / Dantzig
+column problems (c = 1, a few hundred variables at most).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +28,7 @@ _MAX_ITER = 50_000
 
 
 class SimplexError(RuntimeError):
-    """Iteration cap exceeded."""
+    """Iteration cap exceeded, or an unbounded pass that c >= 0 rules out."""
 
 
 def _checked_rhs(b_ub, m: int | None = None) -> np.ndarray:
@@ -54,7 +42,7 @@ def _checked_rhs(b_ub, m: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min c^T x  s.t.  A x <= b,  x >= 0."""
+    """min c^T x  s.t.  A x <= b,  x >= 0,  with c >= 0."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -71,6 +59,8 @@ class LpProblem:
             )
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a))):
             raise ValueError("LP data must be finite")
+        if np.any(c < 0):
+            raise ValueError("c must be >= 0")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "a_ub", a)
         object.__setattr__(self, "b_ub", b)
@@ -87,16 +77,11 @@ class LpProblem:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray | None
     objective: float | None
-    # simplex pivots over both phases, including those that drive leftover
-    # artificials out of the basis
+    # pivots of the dual and the primal pass together
     pivots: int
-    # optimal basis (row order) and its inverse B^-1, the slack block of the
-    # final tableau; None unless optimal with no artificial left basic
-    basis: np.ndarray | None = field(default=None, repr=False)
-    basis_inv: np.ndarray | None = field(default=None, repr=False)
 
 
 def _pivot(tab: np.ndarray, row: int, col: int) -> None:
@@ -161,119 +146,27 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, 
     raise SimplexError(f"dual simplex exceeded {_MAX_ITER} iterations")
 
 
-def _optimal(
-    problem: LpProblem, tab: np.ndarray, basis: np.ndarray, pivots: int
-) -> LpSolution:
-    """The optimal solution at ``basis``, x read from the basis alone."""
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve the LP from the slack basis: a dual simplex to a feasible basis,
+    then a primal pass that certifies optimality by nonnegative reduced
+    costs."""
     c, a, b = problem.c, problem.a_ub, problem.b_ub
     m, n = a.shape
-    n_real = n + m
-    if np.any(basis >= n_real):
-        # a redundant row keeps its artificial basic: read the tableau
-        x = np.zeros(tab.shape[1] - 1)
-        x[basis] = tab[:m, -1]
-        return LpSolution("optimal", x[:n], float(c @ x[:n]), pivots)
-    order = np.sort(basis)
-    x = np.zeros(n_real)
-    x[order] = np.linalg.solve(np.hstack([a, np.eye(m)])[:, order], b)
-    return LpSolution(
-        "optimal", x[:n], float(c @ x[:n]), pivots,
-        basis.copy(), tab[:m, n:n_real].copy(),
-    )
-
-
-def _solve_cold(problem: LpProblem) -> LpSolution:
-    """Two-phase primal simplex from the slack / artificial basis."""
-    c, a, b = problem.c, problem.a_ub, problem.b_ub
-    m, n = a.shape
-    n_real = n + m  # structural + slack columns
-
-    # equality form with slacks; flip rows so the rhs is nonnegative, and
-    # give each flipped row an artificial as its starting basic variable
-    neg = np.flatnonzero(b < 0)
-    art = n_real + np.arange(neg.size)
-    tab = np.zeros((m + 1, n_real + neg.size + 1))
+    ncols = n + m  # structural + slack columns
+    tab = np.zeros((m + 1, ncols + 1))
     tab[:m, :n] = a
-    tab[:m, n:n_real] = np.eye(m)
+    tab[:m, n:ncols] = np.eye(m)
     tab[:m, -1] = b
-    tab[neg] *= -1.0
-    tab[neg, art] = 1.0
-    basis = np.arange(n, n_real)
-    basis[neg] = art
-
-    # phase 1: minimize the sum of artificials.  The optimum is >= 0; a
-    # positive one means infeasible (phase 1 cannot be unbounded).
-    pivots = 0
-    if neg.size:
-        tab[-1, art] = 1.0
-        tab[-1] -= tab[neg].sum(axis=0)
-        status, pivots = _simplex(tab, basis, tab.shape[1] - 1)
-        if status != "optimal" or tab[-1, -1] < -1e-7:
-            return LpSolution("infeasible", None, None, pivots)
-
-        # drive any leftover artificials out of the basis (degenerate rows);
-        # a fully zero row is redundant, so its artificial stays basic at
-        # zero and never re-enters because phase 2 excludes its column
-        for r in np.flatnonzero(basis >= n_real):
-            js = np.flatnonzero(np.abs(tab[r, :n_real]) > _TOL)
-            if js.size:
-                _pivot(tab, r, js[0])
-                basis[r] = js[0]
-                pivots += 1
-
-    # phase 2 on the structural + slack columns
-    cost = np.zeros(tab.shape[1])
-    cost[:n] = c
-    tab[-1] = cost - cost[basis] @ tab[:m]
-    status, more = _simplex(tab, basis, n_real)
-    pivots += more
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, pivots)
-    return _optimal(problem, tab, basis, pivots)
-
-
-def _warm_tableau(problem: LpProblem, start: LpSolution) -> np.ndarray | None:
-    """B^-1 [A I | b] with its reduced-cost row for the start's basis, or
-    None when that basis is not a dual-feasible basis of this problem."""
-    c, a, b = problem.c, problem.a_ub, problem.b_ub
-    m, n = a.shape
-    basis, binv = start.basis, start.basis_inv
-    if binv is None or binv.shape != (m, m) or np.any(basis >= n + m):
-        return None
-    tab = np.empty((m + 1, n + m + 1))
-    tab[:m, :n] = binv @ a
-    tab[:m, n:-1] = binv
-    tab[:m, -1] = binv @ b
-    eye = np.eye(m)
-    if np.max(np.abs(tab[:m, basis] - eye)) > _TOL:
-        return None
-    tab[:m, basis] = eye
-    cost = np.zeros(n + m + 1)
-    cost[:n] = c
-    tab[-1] = cost - cost[basis] @ tab[:m]
-    if np.any(tab[-1, :-1] < -_TOL):
-        return None
-    return tab
-
-
-def solve_lp(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
-    """Solve the LP; optimality certified by nonnegative reduced costs.
-
-    ``start``, an optimal solution of an LP with the same c and A, warm
-    starts the solve from its basis; any other start solves cold.
-    """
-    tab = None
-    if start is not None and start.basis is not None:
-        tab = _warm_tableau(problem, start)
-    if tab is None:
-        return _solve_cold(problem)
-    basis = start.basis.copy()
-    ncols = tab.shape[1] - 1
+    tab[-1, :n] = c
+    basis = np.arange(n, ncols)
     status, pivots = _dual_simplex(tab, basis, ncols)
-    if status == "optimal":
-        status, more = _simplex(tab, basis, ncols)
-        pivots += more
+    if status == "infeasible":
+        return LpSolution("infeasible", None, None, pivots)
+    status, more = _simplex(tab, basis, ncols)
+    pivots += more
     if status != "optimal":
-        cold = _solve_cold(problem)
-        return replace(cold, pivots=cold.pivots + pivots)
-    return _optimal(problem, tab, basis, pivots)
+        raise SimplexError("primal pass found an unbounded ray although c >= 0")
+    order = np.sort(basis)
+    x = np.zeros(ncols)
+    x[order] = np.linalg.solve(np.hstack([a, np.eye(m)])[:, order], b)
+    return LpSolution("optimal", x[:n], float(c @ x[:n]), pivots)

@@ -11,7 +11,7 @@ from ustatboot.ustat import UStatResult
 
 
 def _problem():
-    return LpProblem(c=-np.ones(2), a_ub=np.eye(2), b_ub=np.ones(2))
+    return LpProblem(c=np.ones(2), a_ub=np.eye(2), b_ub=np.ones(2))
 
 
 _MAKERS = {

@@ -23,7 +23,8 @@ from ustatboot.harness.experiments import (
     run_experiment,
 )
 from ustatboot.kernels import CovarianceKernel
-from ustatboot.matstat import cholesky, sup_norm
+from ustatboot.lp import SimplexError
+from ustatboot.matstat import NotPositiveDefiniteError, cholesky, sup_norm
 from ustatboot.rngutil import substream
 from ustatboot.ustat import compute_u, sup_stat
 
@@ -275,14 +276,18 @@ def test_cli_requires_experiment():
     assert cli_main([]) == 2
 
 
-def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "error",
+    [NotPositiveDefiniteError(0, -1.0), SimplexError("iteration cap")],
+    ids=lambda e: type(e).__name__,
+)
+def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, error):
     import ustatboot.harness.cli as cli_mod
-    from ustatboot.matstat import NotPositiveDefiniteError
 
     cfg_path = _write_cfg(tmp_path, "coverage")
 
     def boom(cfg):
-        raise NotPositiveDefiniteError(0, -1.0)
+        raise error
 
     monkeypatch.setattr(cli_mod, "run_experiment", boom)
     assert cli_main(["coverage", "--config", str(cfg_path)]) == 3
