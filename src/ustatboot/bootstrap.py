@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, check_data
-from .matstat import vech
+from .matstat import vech, vech_pairs
 from .rngutil import SeedLike, substream, substream_normals
-from .ustat import UStatResult, check_scaling, compute_u, sup_stat, vech_columns
+from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
 
 __all__ = [
     "DecoupledGEstimates",
@@ -141,19 +141,20 @@ def draw_bootstrap(
     on (seed, key, n, d): the draws of a smaller b are a prefix of those of
     a larger one, and results do not depend on execution order or
     parallelism.  The draws are one GEMM with the (n, p(p+1)/2) matrix
-    ``g.g_hat`` (all entries, as it is) or its off-diagonal columns; every
-    scaling and restriction uses the same multiplier rows."""
+    ``g.g_hat``, reduced by ``ustat.entry_max`` over every column or the
+    off-diagonal ones; every scaling and restriction uses the same
+    multiplier rows."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    check_scaling(scaling)
-    mat = g.g_hat[:, vech_columns(g.p, restriction)]
+    check_maximum(scaling, restriction, g.p)
     n = g.n
-    s = substream_normals(seed, *key, rows=b, cols=n) @ mat
+    s = substream_normals(seed, *key, rows=b, cols=n) @ g.g_hat
+    j, k = vech_pairs(g.p)
+    values = entry_max(s, j == k, scaling, restriction)
     if scaling == "raw":
-        values = s.max(axis=1) / math.sqrt(n)
+        values = values / math.sqrt(n)
     else:
-        # max |s| per draw without an |s| temporary
-        values = 2.0 * np.maximum(s.max(axis=1), -s.min(axis=1)) / n
+        values = 2.0 * values / n
     values.sort()
     return BootstrapDraws(values=values, scaling=scaling, restriction=restriction)
 

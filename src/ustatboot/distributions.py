@@ -30,7 +30,6 @@ __all__ = [
     "sample",
     "population_sigma",
     "kurtosis_kappa",
-    "model_to_config",
     "model_from_config",
 ]
 
@@ -48,9 +47,6 @@ class EllipticalModel:
     v: np.ndarray
     nu: float
     epsilon: float | None = None
-    # retained so the model round-trips through the JSON config
-    v_kind: str | None = None
-    rho: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "v", as_sym(self.v))
@@ -77,12 +73,12 @@ class EllipticalModel:
         return cholesky(self.v)
 
 
-def contaminated_normal(v: np.ndarray, epsilon: float, nu: float, **kw) -> EllipticalModel:
-    return EllipticalModel(family=CONTAMINATED, v=v, nu=nu, epsilon=epsilon, **kw)
+def contaminated_normal(v: np.ndarray, epsilon: float, nu: float) -> EllipticalModel:
+    return EllipticalModel(family=CONTAMINATED, v=v, nu=nu, epsilon=epsilon)
 
 
-def elliptic_t(v: np.ndarray, nu: float, **kw) -> EllipticalModel:
-    return EllipticalModel(family=ELLIPTIC_T, v=v, nu=nu, **kw)
+def elliptic_t(v: np.ndarray, nu: float) -> EllipticalModel:
+    return EllipticalModel(family=ELLIPTIC_T, v=v, nu=nu)
 
 
 def build_v(kind: str, p: int, rho: float | None = None) -> np.ndarray:
@@ -140,26 +136,8 @@ def kurtosis_kappa(model: EllipticalModel) -> float:
     return 2.0 / (model.nu - 4.0)
 
 
-def model_to_config(model: EllipticalModel) -> dict[str, Any]:
-    """Serializable description; requires the model to have been built from a
-    named V kind (d1 / ar1 / identity)."""
-    if model.v_kind is None:
-        raise ValueError("model was not built from a named V kind")
-    cfg: dict[str, Any] = {
-        "family": model.family,
-        "nu": model.nu,
-        "v_kind": model.v_kind,
-        "p": model.p,
-    }
-    if model.epsilon is not None:
-        cfg["epsilon"] = model.epsilon
-    if model.rho is not None:
-        cfg["rho"] = model.rho
-    return cfg
-
-
 def model_from_config(cfg: dict[str, Any]) -> EllipticalModel:
-    """Inverse of :func:`model_to_config`."""
+    """Build a model from its JSON description, the config's ``model`` dict."""
     allowed = {"family", "nu", "v_kind", "p", "epsilon", "rho"}
     unknown = set(cfg) - allowed
     if unknown:
@@ -182,6 +160,4 @@ def model_from_config(cfg: dict[str, Any]) -> EllipticalModel:
         v=v,
         nu=float(cfg["nu"]),
         epsilon=cfg.get("epsilon"),
-        v_kind=cfg["v_kind"],
-        rho=cfg.get("rho"),
     )

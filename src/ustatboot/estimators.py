@@ -58,7 +58,7 @@ class LinFunSolution:
 
 def threshold_cov(s_hat: np.ndarray, tau: float) -> np.ndarray:
     """Entrywise hard thresholding with strict inequality |s| > tau."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     s_hat = np.asarray(s_hat, dtype=np.float64)
     return np.where(np.abs(s_hat) > tau, s_hat, 0.0)

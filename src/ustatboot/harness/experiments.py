@@ -202,7 +202,7 @@ def banded_model(cfg: ExperimentConfig) -> tuple[EllipticalModel, np.ndarray, in
     """
     model = cfg.build_model()
     k0 = cfg.band_k0
-    rho = model.rho if model.rho is not None else 0.5
+    rho = 0.5 if cfg.model.get("rho") is None else cfg.model["rho"]
     c = rho ** np.arange(k0 + 1)
     gamma = np.array([np.dot(c[: k0 + 1 - h], c[h:]) for h in range(k0 + 1)])
     gamma /= gamma[0]

@@ -37,13 +37,15 @@ def as_sym(a: np.ndarray) -> np.ndarray:
 
     Kernel sums drift at floating-point level, so asymmetry up to
     ``ASYM_WARN_TOL`` is silently averaged out; anything larger is averaged
-    with a warning.
+    with a warning.  A NaN or infinite entry raises ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be >= 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     asym = np.max(np.abs(a - a.T)) if a.size else 0.0
     if asym > ASYM_WARN_TOL:
         warnings.warn(

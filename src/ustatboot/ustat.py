@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import Kernel, KendallKernel, check_data
-from .matstat import unvech, vech_pairs
+from .matstat import unvech
 
 __all__ = [
     "SCALINGS",
@@ -16,8 +16,8 @@ __all__ = [
     "EmpiricalHoeffding",
     "compute_u",
     "kendall_tau_matrix",
-    "check_scaling",
-    "vech_columns",
+    "check_maximum",
+    "entry_max",
     "sup_stat",
     "population_g_covariance",
     "population_f_covariance",
@@ -54,12 +54,9 @@ def kendall_tau_matrix(data: np.ndarray) -> np.ndarray:
     return KendallKernel().u_stat(data) - 1.0
 
 
-def check_scaling(scaling: str) -> None:
+def check_maximum(scaling: str, restriction: str, p: int) -> None:
     if scaling not in SCALINGS:
         raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
-
-
-def _check_restriction(restriction: str, p: int) -> None:
     if restriction not in RESTRICTIONS:
         raise ValueError(
             f"restriction must be one of {RESTRICTIONS}, got {restriction!r}"
@@ -68,14 +65,20 @@ def _check_restriction(restriction: str, p: int) -> None:
         raise ValueError("the off-diagonal maximum needs p >= 2")
 
 
-def vech_columns(p: int, restriction: str) -> slice | np.ndarray:
-    """Index of the half-vectorization columns the maximum runs over: every
-    column, or the off-diagonal pairs j > k."""
-    _check_restriction(restriction, p)
-    if restriction == "all":
-        return slice(None)
-    rows, cols = vech_pairs(p)
-    return rows != cols
+def entry_max(
+    rows: np.ndarray, diag: np.ndarray | slice, scaling: str, restriction: str
+) -> np.ndarray:
+    """Each row's maximum over its entries: signed at the ``raw`` scaling,
+    of |.| at the ``applications`` scaling.  Under ``offdiag`` the diagonal
+    columns, which the index ``diag`` selects, are first overwritten in
+    place with a value that cannot win (-inf for the signed max, 0 for
+    max |.|)."""
+    if restriction == "offdiag":
+        rows[:, diag] = -np.inf if scaling == "raw" else 0.0
+    if scaling == "raw":
+        return rows.max(axis=1)
+    # max |.| per row without an |.| temporary
+    return np.maximum(rows.max(axis=1), -rows.min(axis=1))
 
 
 def sup_stat(
@@ -87,19 +90,19 @@ def sup_stat(
     """Centred maximum of a U-statistic: sqrt(n) * max(U - target) / 2 at the
     ``raw`` scaling, max |U - target| at the ``applications`` scaling, over
     every entry or (``offdiag``) the off-diagonal ones."""
-    check_scaling(scaling)
     target = np.asarray(target)
     if u.u.shape != target.shape:
         raise ValueError(f"shape mismatch: {u.u.shape} vs {target.shape}")
-    diff = u.u - target
-    _check_restriction(restriction, diff.shape[0])
-    if restriction == "all":
-        vals = diff.ravel()
-    else:
-        vals = diff[~np.eye(diff.shape[0], dtype=bool)]
-    if scaling == "applications":
-        return float(np.max(np.abs(vals)))
-    return float(np.max(vals)) * (np.sqrt(u.n) / 2.0)
+    p = target.shape[0]
+    check_maximum(scaling, restriction, p)
+    if not np.isfinite(target).all():
+        raise ValueError("target must be finite")
+    # every (p+1)-th entry of the raveled p x p difference is diagonal
+    diff = (u.u - target).reshape(1, -1)
+    value = entry_max(diff, slice(None, None, p + 1), scaling, restriction)[0]
+    if scaling == "raw":
+        value *= np.sqrt(u.n) / 2.0
+    return float(value)
 
 
 class EmpiricalHoeffding:

@@ -217,6 +217,24 @@ def test_covariance_bootstrap_builds_no_dense_g_tensor():
     assert peak < n * p * p * 8, peak
 
 
+@pytest.mark.parametrize("scaling", ["raw", "applications"])
+def test_offdiag_draws_copy_nothing(scaling):
+    # offdiag masks the (b, m) draw product in place; a copy of g_hat's
+    # off-diagonal columns would add about n m doubles to the peak
+    n, p, b = 100, 60, 100
+    rng = np.random.default_rng(8)
+    g = estimate_g_decoupled(*rng.standard_normal((2, n, p)), CovarianceKernel())
+    peaks = {}
+    for restriction in ("all", "offdiag"):
+        tracemalloc.start()
+        try:
+            draw_bootstrap(g, b, scaling, restriction, 4)
+            peaks[restriction] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["offdiag"] <= peaks["all"] + 4096, peaks
+
+
 def test_decoupled_estimates_reject_a_dense_g_hat():
     with pytest.raises(ValueError, match="p\\(p\\+1\\)/2"):
         DecoupledGEstimates(g_hat=np.zeros((4, 3, 3)), train_u=np.zeros((3, 3)))

@@ -11,7 +11,6 @@ from ustatboot.distributions import (
     elliptic_t,
     kurtosis_kappa,
     model_from_config,
-    model_to_config,
     population_sigma,
     sample,
 )
@@ -132,8 +131,9 @@ def test_config_round_trip():
         "p": 4,
     }
     model = model_from_config(cfg)
-    back = model_to_config(model)
-    assert back == {**cfg, "nu": 1.5, "p": 4}
+    assert (model.family, model.nu, model.epsilon, model.p) == (
+        "contaminated_normal", 1.5, 0.2, 4
+    )
     np.testing.assert_allclose(model.v, build_v("ar1", 4, rho=0.7))
 
 
@@ -142,5 +142,3 @@ def test_config_rejects_unknown_and_missing_keys():
         model_from_config({"family": "elliptic_t", "nu": 8, "v_kind": "d1", "p": 3, "x": 1})
     with pytest.raises(ValueError):
         model_from_config({"family": "elliptic_t", "nu": 8, "p": 3})
-    with pytest.raises(ValueError):
-        model_to_config(elliptic_t(np.eye(2), nu=8.0))

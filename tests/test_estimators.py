@@ -29,6 +29,8 @@ def test_threshold_strict_inequality():
     np.testing.assert_array_equal(out, np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         threshold_cov(s, -0.1)
+    with pytest.raises(ValueError):
+        threshold_cov(s, float("nan"))
 
 
 @given(

@@ -111,13 +111,17 @@ def test_every_experiment_runs_and_is_deterministic(name):
     assert len(res1.rows) > 0
 
 
-def test_worker_count_does_not_change_results():
-    cfg = small("coverage", replications=6)
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_worker_count_does_not_change_results(name):
+    over = {"n_grid": (20, 40)} if name == "maximal_ineq_scaling" else {}
+    cfg = small(name, replications=6, **over)
     serial = run_experiment(cfg)
     parallel = run_experiment(dataclasses.replace(cfg, workers=2))
+    # assert_array_equal counts NaN as equal to NaN
     np.testing.assert_array_equal(
         np.asarray(serial.rows, dtype=float), np.asarray(parallel.rows, dtype=float)
     )
+    assert repr(parallel.summary) == repr(serial.summary)
 
 
 def test_coverage_replication_follows_stream_layout():

@@ -126,3 +126,14 @@ def test_non_finite_data_raises(m1_data, run_test):
     data[3, 2] = np.nan
     with pytest.raises(ValueError):
         run_test(data, np.eye(data.shape[1]), 0.05, 50, 7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("run_test", [covariance_test, kendall_test])
+def test_non_finite_null_matrix_raises(m1_data, run_test, bad):
+    # a NaN null entry must not turn into statistic=nan, reject=False
+    _, data = m1_data
+    null = np.eye(data.shape[1])
+    null[0, 1] = null[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        run_test(data, null, 0.05, 50, 7)

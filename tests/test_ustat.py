@@ -107,6 +107,8 @@ def test_sup_stat_variants():
         sup_stat(UStatResult(u=u, n=16), target, "bogus")
     with pytest.raises(ValueError):
         sup_stat(UStatResult(u=u, n=16), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="finite"):
+        sup_stat(UStatResult(u=u, n=16), np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_sup_stat_from_result():
