@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernels import Kernel, check_data
 from .matstat import vech, vech_pairs
-from .rngutil import SeedLike, substream, substream_normals
+from .rngutil import SeedLike, substream
 from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
 
 __all__ = [
@@ -148,7 +148,7 @@ def draw_bootstrap(
         raise ValueError("b must be >= 1")
     check_maximum(scaling, restriction, g.p)
     n = g.n
-    s = substream_normals(seed, *key, rows=b, cols=n) @ g.g_hat
+    s = substream(seed, *key).standard_normal((b, n)) @ g.g_hat
     j, k = vech_pairs(g.p)
     values = entry_max(s, j == k, scaling, restriction)
     if scaling == "raw":
@@ -160,8 +160,7 @@ def draw_bootstrap(
 
 
 def bootstrap_halves(
-    main: np.ndarray,
-    train: np.ndarray,
+    data: np.ndarray,
     kernel: Kernel,
     b: int,
     scaling: str = "applications",
@@ -169,12 +168,17 @@ def bootstrap_halves(
     seed: SeedLike = 0,
     *key: int,
 ) -> tuple[UStatResult, BootstrapDraws]:
-    """The front end every application shares: the U-statistic of the main
-    half and b sorted multiplier draws of the decoupled estimates of the
-    main half against the training half, keyed (seed, *key)."""
+    """The front end every application shares: split ``data`` into a main
+    and a training half on the substream (seed, *key), then return the
+    U-statistic of the main half and b sorted multiplier draws of the
+    decoupled estimates of the main half against the training half, drawn
+    on the same key with its last entry plus one."""
+    if not key:
+        raise ValueError("bootstrap_halves needs a nonempty key")
+    main, train = split_sample(data, seed, *key)
     g = estimate_g_decoupled(main, train, kernel)
     return compute_u(main, kernel), draw_bootstrap(
-        g, b, scaling, restriction, seed, *key
+        g, b, scaling, restriction, seed, *key[:-1], key[-1] + 1
     )
 
 

@@ -20,7 +20,6 @@ from ..bootstrap import (
     QuantileEstimate,
     bootstrap_halves,
     quantile,
-    split_sample,
 )
 from ..distributions import (
     EllipticalModel,
@@ -39,6 +38,7 @@ from ..estimators import (
     threshold_cov,
 )
 from ..gaussian_approx import kolmogorov_distance
+from ..inference import _rejects
 from ..kernels import CovarianceKernel, Kernel, KendallKernel
 from ..matstat import matrix_l1_norm, sup_norm
 from ..ustat import UStatResult, compute_u, sup_stat
@@ -78,14 +78,13 @@ def _bootstrap(
     scaling: str = "applications",
     restriction: str = "all",
 ) -> tuple[UStatResult, BootstrapDraws]:
-    """Sample 2n rows, split them and bootstrap the halves on the substreams
-    (tag, r, stage), (tag, r, stage + 1) and (tag, r, stage + 2)."""
+    """Sample 2n rows on the substream (tag, r, stage), then split them on
+    (tag, r, stage + 1) and draw on (tag, r, stage + 2) in the front end."""
     tag = _TAGS[cfg.experiment]
     data = sample(model, 2 * cfg.n, cfg.seed, tag, r, stage)
-    main, train = split_sample(data, cfg.seed, tag, r, stage + 1)
     return bootstrap_halves(
-        main, train, kernel, cfg.bootstrap_b, scaling, restriction,
-        cfg.seed, tag, r, stage + 2,
+        data, kernel, cfg.bootstrap_b, scaling, restriction,
+        cfg.seed, tag, r, stage + 1,
     )
 
 
@@ -307,8 +306,8 @@ def _test_size_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
     stat_ken = draws_k.statistic(u_k, np.eye(cfg.p) + 1.0)
     return np.concatenate(
         [
-            _hits(stat_cov, draws, levels, operator.ge),
-            _hits(stat_ken, draws_k, levels, operator.ge),
+            _hits(stat_cov, draws, levels, _rejects),
+            _hits(stat_ken, draws_k, levels, _rejects),
         ]
     )
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import bootstrap_halves, quantile, split_sample
+from .bootstrap import bootstrap_halves, quantile
 from .kernels import CovarianceKernel, Kernel, KendallKernel
 from .matstat import as_sym
 from .rngutil import SeedLike
@@ -28,6 +28,12 @@ class TestResult:
     b: int
 
 
+def _rejects(statistic: float, critical_value: float) -> bool:
+    """The rejection rule of every sup-norm test: statistic >= critical
+    value, so a tie at the critical value rejects, a zero one included."""
+    return statistic >= critical_value
+
+
 def _run_test(
     data: np.ndarray,
     kernel: Kernel,
@@ -40,18 +46,16 @@ def _run_test(
 ) -> TestResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    main, train = split_sample(data, seed, *key, 0)
     u, draws = bootstrap_halves(
-        main, train, kernel, b, "applications", restriction, seed, *key, 1
+        data, kernel, b, "applications", restriction, seed, *key, 0
     )
     stat = draws.statistic(u, u0)
     crit = quantile(draws, 1.0 - alpha).value
-    # the boundary tie counts as a rejection, matching statistic >= critical
     return TestResult(
         statistic=stat,
         critical_value=crit,
         alpha=alpha,
-        reject=stat >= crit and not (stat == 0.0 and crit == 0.0),
+        reject=_rejects(stat, crit),
         b=b,
     )
 

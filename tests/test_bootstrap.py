@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ustatboot.bootstrap import (
     BootstrapDraws,
     DecoupledGEstimates,
+    bootstrap_halves,
     draw_bootstrap,
     estimate_g_decoupled,
     quantile,
@@ -42,6 +43,13 @@ def test_split_sample_deterministic():
     np.testing.assert_array_equal(a[0], b[0])
     c = split_sample(data, 7, 2)
     assert not np.array_equal(a[0], c[0])
+
+
+def test_bootstrap_halves_needs_a_key():
+    # the split takes the key and the draws its last entry plus one
+    data = np.random.default_rng(0).standard_normal((12, 3))
+    with pytest.raises(ValueError, match="nonempty key"):
+        bootstrap_halves(data, CovarianceKernel(), 10, "raw", "all", 7)
 
 
 def test_estimate_g_decoupled_formula():

@@ -53,6 +53,16 @@ def test_covariance_test_rejects_gross_violation(m1_data):
     assert res.reject
 
 
+@pytest.mark.parametrize("run_test", [covariance_test, kendall_test])
+def test_zero_statistic_at_zero_critical_value_rejects(run_test):
+    # constant data make every decoupled estimate and so every draw zero, and
+    # U equals the null off the diagonal; the one rule statistic >= critical
+    # value, which the test_size experiment counts, rejects at the tie
+    res = run_test(np.ones((20, 3)), np.zeros((3, 3)), 0.05, 50, 7)
+    assert res.statistic == 0.0 and res.critical_value == 0.0
+    assert res.reject is True
+
+
 def test_covariance_test_holds_under_h0(m1_data):
     model, data = m1_data
     res = covariance_test(data, population_sigma(model), 0.2, 200, 7)

@@ -65,10 +65,15 @@ def test_negative_cost_rejected():
         LpProblem(c=[1.0, -1e-12], a_ub=[[1.0, 1.0]], b_ub=[1.0])
 
 
-def test_unbounded_certificate_raises(monkeypatch):
-    # with c >= 0 the primal pass cannot find a ray; if it did, that is a bug
-    monkeypatch.setattr(lp, "_simplex", lambda *a: ("unbounded", 0))
-    with pytest.raises(lp.SimplexError):
+def test_negative_reduced_cost_after_dual_pass_raises(monkeypatch):
+    # a basis the dual pass calls optimal must also have reduced costs >= 0;
+    # one that does not is a bug, not a solution to pivot on from
+    def dual_pass_leaving_a_negative_cost(tab, basis, ncols):
+        tab[-1, 0] = -1.0
+        return "optimal", 0
+
+    monkeypatch.setattr(lp, "_dual_simplex", dual_pass_leaving_a_negative_cost)
+    with pytest.raises(lp.SimplexError, match="negative reduced cost"):
         solve_lp(LpProblem(c=[1.0], a_ub=[[1.0]], b_ub=[1.0]))
 
 
@@ -175,21 +180,6 @@ def test_mixed_sign_cases_cover_every_status():
         solve_lp(LpProblem(*_mixed_sign_lp(seed))).status for seed in _MIXED_SEEDS
     }
     assert statuses == {"optimal", "infeasible"}
-
-
-def test_ratio_tie_leaves_smallest_basic_index():
-    # both rows tie on ratio 1 for the entering column 0; Bland's rule makes
-    # the later row, whose basic variable 1 has the smaller index, leave
-    tab = np.array(
-        [
-            [1.0, 0.0, 1.0, 1.0],
-            [1.0, 1.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    basis = np.array([2, 1])
-    assert lp._simplex(tab, basis, 3) == ("optimal", 1)
-    np.testing.assert_array_equal(basis, [2, 0])
 
 
 def test_with_rhs_shares_validated_block_and_checks_b():
