@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .bootstrap import (
     BootstrapDraws,
     DecoupledGEstimates,
+    DegenerateBootstrapError,
     QuantileEstimate,
     bootstrap_halves,
     draw_bootstrap,
@@ -65,6 +66,7 @@ __all__ = [
     "__version__",
     "BootstrapDraws",
     "DecoupledGEstimates",
+    "DegenerateBootstrapError",
     "QuantileEstimate",
     "bootstrap_halves",
     "draw_bootstrap",

@@ -5,6 +5,17 @@ Hajek projection at each main row against the training half (the decoupled
 estimator), then perturb the estimates with iid standard normal multipliers
 and read quantiles off the sorted draws.
 
+The draws never hold the (B, p(p+1)/2) product of the multipliers with ghat,
+nor, for the covariance kernel, ghat itself.  ``draw_bootstrap`` reads ghat
+one vech column block at a time (the entries (j, k), j >= k, of whole matrix
+columns k, about ``_BLOCK_SIZE`` / n of them per block): one GEMM per
+block, then a running maximum per draw of that block's signed max or
+max |.|.  For the covariance kernel, column (j, k) of ghat is
+d_j * d_k / 2 + D_jk with d = main - mean(train) and D = C / 2 - U(train),
+so the estimates keep only d^T and vech(C) and build each block when it is
+asked for, in one reused buffer; every other kernel's ghat is materialized
+and handed out in slices.
+
 Two scalings of the multiplier statistic are implemented, each paired with
 the centred maximum of ``ustat.sup_stat`` whose law it approximates:
 
@@ -24,12 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, check_data
-from .matstat import vech, vech_pairs
+from .kernels import CovarianceKernel, Kernel, check_data
+from .matstat import vech, vech_outer_rows, vech_pairs
 from .rngutil import SeedLike, substream
 from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
 
 __all__ = [
+    "DegenerateBootstrapError",
     "DecoupledGEstimates",
     "BootstrapDraws",
     "QuantileEstimate",
@@ -40,29 +52,98 @@ __all__ = [
     "quantile",
 ]
 
-@dataclass(frozen=True, eq=False)
+# doubles per draw block of ghat (n rows by its vech columns, 512 KB): a
+# block takes whole matrix columns until it holds this many, about 330 vech
+# columns at n = 200, so that its operand and product stay in cache
+_BLOCK_SIZE = 2**16
+
+
+def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int]]:
+    """(k0, k1, lo, hi) per block of a ghat with n rows: matrix columns
+    k0..k1-1, which fill the vech positions lo..hi-1."""
+    blocks = []
+    k0 = lo = 0
+    while k0 < p:
+        k1, hi = k0, lo
+        while k1 < p and (hi - lo) * n < _BLOCK_SIZE:
+            hi += p - k1
+            k1 += 1
+        blocks.append((k0, k1, lo, hi))
+        k0, lo = k1, hi
+    return blocks
+
+
+class DegenerateBootstrapError(FloatingPointError):
+    """Every multiplier draw is 0 (ghat vanishes, e.g. on constant data), so
+    no critical value is informative."""
+
+
 class DecoupledGEstimates:
-    """Per-row Hajek projection estimates ghat_i, half-vectorized (row i is
-    ``vech(ghat_i)``: ghat_i is symmetric, so this holds every distinct
-    entry), and the training-half U-statistic they were centered with."""
+    """Per-row Hajek projection estimates ghat_i, half-vectorized (row i of
+    ``g_hat`` is ``vech(ghat_i)``: ghat_i is symmetric, so this holds every
+    distinct entry), and the training-half U-statistic they were centered
+    with.  ``blocks`` hands ghat to ``draw_bootstrap`` in vech column blocks;
+    this class holds ghat materialized and hands out slices of it."""
 
-    g_hat: np.ndarray  # (n, p(p+1)/2)
-    train_u: np.ndarray  # (p, p)
-
-    def __post_init__(self) -> None:
-        p = self.p
-        if self.g_hat.ndim != 2 or self.g_hat.shape[1] != p * (p + 1) // 2:
+    def __init__(self, g_hat: np.ndarray, train_u: np.ndarray):
+        p = train_u.shape[0]
+        if g_hat.ndim != 2 or g_hat.shape[1] != p * (p + 1) // 2:
             raise ValueError(
-                f"g_hat must be (n, p(p+1)/2) for p = {p}, got {self.g_hat.shape}"
+                f"g_hat must be (n, p(p+1)/2) for p = {p}, got {g_hat.shape}"
             )
-
-    @property
-    def n(self) -> int:
-        return self.g_hat.shape[0]
+        self.g_hat = g_hat  # (n, p(p+1)/2)
+        self.train_u = train_u  # (p, p)
+        self.n = g_hat.shape[0]
 
     @property
     def p(self) -> int:
         return self.train_u.shape[0]
+
+    def blocks(self, e: np.ndarray):
+        """Yield (lo, a, x) per vech column block of ``_column_blocks``, with
+        a @ x = e @ g_hat[:, lo:lo + x.shape[1]] for the (b, n) multipliers
+        e.  Each x is valid until the next block is asked for."""
+        for _, _, lo, hi in _column_blocks(self.p, self.n):
+            yield lo, e, self.g_hat[:, lo:hi]
+
+
+class _CovarianceEstimates(DecoupledGEstimates):
+    """Covariance-kernel ghat from its factors: column (j, k) is
+    (d_j * d_k + C_jk) / 2 - U_jk with d^T = ``d_t`` (p x n), vech(C) = ``c``
+    and U = ``train_u``.  Only ``g_hat`` builds the (n, p(p+1)/2) matrix."""
+
+    def __init__(self, d_t: np.ndarray, c: np.ndarray, train_u: np.ndarray):
+        self._d_t = d_t
+        self._c = c
+        self.train_u = train_u
+        self.n = d_t.shape[1]
+
+    @property
+    def g_hat(self) -> np.ndarray:
+        """ghat built on demand, bit for bit ``CovarianceKernel.cross_mean``
+        minus ``vech(train_u)``."""
+        out = vech_outer_rows(self._d_t)
+        out += self._c[:, None]
+        out /= 2.0
+        out -= vech(self.train_u)[:, None]
+        return out.T
+
+    def blocks(self, e: np.ndarray):
+        # [e / 2 | row sums of e] @ [d_j * d_k | D_jk]^T folds the halving
+        # and the constant D = C / 2 - U into the GEMM
+        n = self.n
+        a = np.empty((e.shape[0], n + 1))
+        np.multiply(e, 0.5, out=a[:, :n])
+        a[:, n] = e.sum(axis=1)
+        del e  # the caller passes its only reference, freed before the blocks
+        const = self._c / 2.0 - vech(self.train_u)
+        schedule = _column_blocks(self.p, n)
+        buf = np.empty((max(hi - lo for *_, lo, hi in schedule), n + 1))
+        for k0, k1, lo, hi in schedule:
+            rows = buf[: hi - lo]
+            vech_outer_rows(self._d_t, k0, k1, rows[:, :n])
+            rows[:, n] = const[lo:hi]
+            yield lo, a, rows.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +193,8 @@ def estimate_g_decoupled(
 
     ghat_i = n^{-1} sum_j h(X_i, X'_j) - C(n,2)^{-1} sum_{j<l} h(X'_j, X'_l),
 
-    each half-vectorized into one row of ``g_hat``.
+    each half-vectorized into one row of ``g_hat``.  For the covariance
+    kernel only the factors of ghat are kept (see the module docstring).
     """
     main = check_data(main)
     train = check_data(train)
@@ -120,8 +202,10 @@ def estimate_g_decoupled(
         raise ValueError(
             f"main and train shapes differ: {main.shape} vs {train.shape}"
         )
-    g_hat = kernel.cross_mean(main, train)  # a new array, centered in place
     train_u = kernel.u_stat(train)
+    if isinstance(kernel, CovarianceKernel):
+        return _CovarianceEstimates(*kernel.cross_factors(main, train), train_u)
+    g_hat = kernel.cross_mean(main, train)  # a new array, centered in place
     g_hat -= vech(train_u)
     return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
 
@@ -140,17 +224,33 @@ def draw_bootstrap(
     matrix from that substream, filled in row order, so draw d depends only
     on (seed, key, n, d): the draws of a smaller b are a prefix of those of
     a larger one, and results do not depend on execution order or
-    parallelism.  The draws are one GEMM with the (n, p(p+1)/2) matrix
-    ``g.g_hat``, reduced by ``ustat.entry_max`` over every column or the
-    off-diagonal ones; every scaling and restriction uses the same
-    multiplier rows."""
+    parallelism.  ghat comes in vech column blocks (``g.blocks``); each
+    block's multiplier sums are one GEMM, which ``ustat.entry_max`` reduces
+    per draw over every entry or the off-diagonal ones (a block's diagonal
+    positions are masked in place), and a running maximum over the blocks
+    gives each draw's signed max or max |.|.  Every scaling and restriction
+    uses the same multiplier rows.  Raises ``DegenerateBootstrapError`` when
+    every draw is 0."""
     if b < 1:
         raise ValueError("b must be >= 1")
     check_maximum(scaling, restriction, g.p)
     n = g.n
-    s = substream(seed, *key).standard_normal((b, n)) @ g.g_hat
     j, k = vech_pairs(g.p)
-    values = entry_max(s, j == k, scaling, restriction)
+    diag = j == k
+    out = np.empty((b, max(hi - lo for *_, lo, hi in _column_blocks(g.p, n))))
+    values = np.full(b, -np.inf)
+    e = substream(seed, *key).standard_normal((b, n))
+    blocks = g.blocks(e)
+    del e  # ``blocks`` may free the multipliers once it has what it needs
+    for lo, a, x in blocks:
+        width = x.shape[1]
+        s = np.matmul(a, x, out=out[:, :width])
+        block_max = entry_max(s, diag[lo : lo + width], scaling, restriction)
+        np.maximum(values, block_max, out=values)
+    if not values.any():
+        raise DegenerateBootstrapError(
+            "every bootstrap draw is 0: the decoupled estimates vanish"
+        )
     if scaling == "raw":
         values = values / math.sqrt(n)
     else:

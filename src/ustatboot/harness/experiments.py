@@ -2,7 +2,9 @@
 
 Every experiment is a pure function of (config, seed): replication r draws
 its randomness from substreams keyed by (seed, experiment tag, r, stage), so
-output is identical for any worker count and rerun.
+output is identical for any worker count and rerun.  Each ``run_*`` builds
+what its replications share (the model, Sigma, a derived truth) once and
+binds it to the replication function with ``functools.partial``.
 """
 
 from __future__ import annotations
@@ -59,14 +61,16 @@ class ExperimentResult:
 
 
 def _map_reps(
-    fn: Callable[[ExperimentConfig, int], Any], cfg: ExperimentConfig, count: int
+    rep: Callable[[int], Any], cfg: ExperimentConfig, count: int
 ) -> list[Any]:
-    """Run replications in index order, optionally across a process pool."""
+    """Run replications rep(0), ..., rep(count - 1) in index order,
+    optionally across a process pool (``rep``, a partial holding the run's
+    invariants, is pickled for the workers)."""
     if cfg.workers <= 1:
-        return [fn(cfg, r) for r in range(count)]
+        return [rep(r) for r in range(count)]
     chunk = max(1, count // (cfg.workers * 8))
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return list(pool.map(partial(fn, cfg), range(count), chunksize=chunk))
+        return list(pool.map(rep, range(count), chunksize=chunk))
 
 
 def _bootstrap(
@@ -110,16 +114,19 @@ def _hits(
 _CURVES = {"pp_plot": ("raw", True), "coverage": ("applications", False)}
 
 
-def _curve_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
+def _curve_rep(
+    cfg: ExperimentConfig, model: EllipticalModel, sigma: np.ndarray, r: int
+) -> np.ndarray:
     scaling, _ = _CURVES[cfg.experiment]
-    model = cfg.build_model()
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, scaling=scaling)
-    stat = draws.statistic(u, population_sigma(model))
+    stat = draws.statistic(u, sigma)
     return _hits(stat, draws, cfg.alpha_grid, operator.le)
 
 
 def run_coverage_curve(cfg: ExperimentConfig) -> ExperimentResult:
-    hits = np.vstack(_map_reps(_curve_rep, cfg, cfg.replications))
+    model = cfg.build_model()
+    rep = partial(_curve_rep, cfg, model, population_sigma(model))
+    hits = np.vstack(_map_reps(rep, cfg, cfg.replications))
     coverage = hits.mean(axis=0)
     rows = [[a, c] for a, c in zip(cfg.alpha_grid, coverage)]
     summary = {}
@@ -136,10 +143,14 @@ def run_coverage_curve(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _nvh_rep(cfg: ExperimentConfig, r: int) -> tuple[float, float, float]:
+def _nvh_rep(
+    cfg: ExperimentConfig,
+    model: EllipticalModel,
+    sigma: np.ndarray,
+    gaussian: EllipticalModel,
+    r: int,
+) -> tuple[float, float, float]:
     tag = _TAGS["naive_vs_hajek"]
-    model = cfg.build_model()
-    sigma = population_sigma(model)
     kernel = CovarianceKernel()
 
     data = sample(model, cfg.n, cfg.seed, tag, r, 0)
@@ -151,15 +162,19 @@ def _nvh_rep(cfg: ExperimentConfig, r: int) -> tuple[float, float, float]:
     m2 = (data_h.T @ data_h) / cfg.n
     hajek_stat = sup_stat(UStatResult(u=m2, n=cfg.n), sigma, "raw")
 
-    # naive moment-matched Gaussian data: N(0, Sigma) is the contaminated
-    # normal with epsilon = 0
-    gauss = sample(contaminated_normal(sigma, 0.0, 1.0), cfg.n, cfg.seed, tag, r, 2, 0)
+    # naive moment-matched Gaussian data from N(0, Sigma)
+    gauss = sample(gaussian, cfg.n, cfg.seed, tag, r, 2, 0)
     naive_stat = sup_stat(compute_u(gauss, kernel), sigma, "raw")
     return t_stat, naive_stat, hajek_stat
 
 
 def run_naive_vs_hajek(cfg: ExperimentConfig) -> ExperimentResult:
-    res = np.array(_map_reps(_nvh_rep, cfg, cfg.replications))
+    model = cfg.build_model()
+    sigma = population_sigma(model)
+    # N(0, Sigma) is the contaminated normal with epsilon = 0
+    gaussian = contaminated_normal(sigma, 0.0, 1.0)
+    rep = partial(_nvh_rep, cfg, model, sigma, gaussian)
+    res = np.array(_map_reps(rep, cfg, cfg.replications))
     t_draws, naive_draws, hajek_draws = res[:, 0], res[:, 1], res[:, 2]
     ks_naive = kolmogorov_distance(t_draws, naive_draws)
     ks_hajek = kolmogorov_distance(t_draws, hajek_draws)
@@ -218,8 +233,13 @@ def banded_model(cfg: ExperimentConfig) -> tuple[EllipticalModel, np.ndarray, in
     return banded, sigma, zeta_p
 
 
-def _threshold_rep(cfg: ExperimentConfig, r: int) -> list[float]:
-    model, sigma, zeta_p = banded_model(cfg)
+def _threshold_rep(
+    cfg: ExperimentConfig,
+    model: EllipticalModel,
+    sigma: np.ndarray,
+    zeta_p: int,
+    r: int,
+) -> list[float]:
     beta = cfg.beta
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r)
     a = quantile(draws, 1.0 - cfg.alpha)
@@ -251,7 +271,8 @@ def _threshold_rep(cfg: ExperimentConfig, r: int) -> list[float]:
 
 
 def run_threshold_eval(cfg: ExperimentConfig) -> ExperimentResult:
-    rows = _map_reps(_threshold_rep, cfg, cfg.replications)
+    rep = partial(_threshold_rep, cfg, *banded_model(cfg))
+    rows = _map_reps(rep, cfg, cfg.replications)
     arr = np.array(rows)
     event_rate = float(arr[:, 5].mean())
     conditional_holds = arr[arr[:, 5] == 1.0, 8]
@@ -283,22 +304,20 @@ def run_threshold_eval(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _test_size_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
-    model = cfg.build_model()
+def _test_size_rep(
+    cfg: ExperimentConfig,
+    model: EllipticalModel,
+    sigma: np.ndarray,
+    ind_model: EllipticalModel,
+    r: int,
+) -> np.ndarray:
     levels = 1.0 - np.asarray(cfg.alpha_grid)
 
     # covariance test under H0: Sigma = Sigma0
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, restriction="offdiag")
-    stat_cov = draws.statistic(u, population_sigma(model))
+    stat_cov = draws.statistic(u, sigma)
 
-    # Kendall test under independence (identity scale matrix, same family);
-    # the population tau matrix has zero off-diagonal for any elliptical law
-    ind_model = EllipticalModel(
-        family=model.family,
-        v=np.eye(cfg.p),
-        nu=model.nu,
-        epsilon=model.epsilon,
-    )
+    # Kendall test under independence (``ind_model``)
     u_k, draws_k = _bootstrap(
         cfg, ind_model, KendallKernel(), r, stage=3, restriction="offdiag"
     )
@@ -313,7 +332,17 @@ def _test_size_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
 
 
 def run_test_size(cfg: ExperimentConfig) -> ExperimentResult:
-    res = np.vstack(_map_reps(_test_size_rep, cfg, cfg.replications))
+    model = cfg.build_model()
+    # identity scale matrix, same family: the population tau matrix has zero
+    # off-diagonal for any elliptical law
+    ind_model = EllipticalModel(
+        family=model.family,
+        v=np.eye(cfg.p),
+        nu=model.nu,
+        epsilon=model.epsilon,
+    )
+    rep = partial(_test_size_rep, cfg, model, population_sigma(model), ind_model)
+    res = np.vstack(_map_reps(rep, cfg, cfg.replications))
     k = len(cfg.alpha_grid)
     size_cov = res[:, :k].mean(axis=0)
     size_ken = res[:, k:].mean(axis=0)
@@ -337,11 +366,17 @@ def _is_zero(estimate: np.ndarray) -> float:
     return float(np.all(np.abs(estimate) <= SUPPORT_TOL))
 
 
-def _clime_row(
-    cfg: ExperimentConfig, sigma: np.ndarray, s_hat: np.ndarray, q: QuantileEstimate
-) -> list[float]:
+def _clime_truth(
+    cfg: ExperimentConfig, sigma: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Omega = Sigma^{-1} and the bound M (``m_bound`` or ||Omega||_L1)."""
     omega = np.linalg.inv(sigma)
-    m_bound = cfg.m_bound if cfg.m_bound is not None else matrix_l1_norm(omega)
+    return omega, cfg.m_bound if cfg.m_bound is not None else matrix_l1_norm(omega)
+
+
+def _clime_row(
+    s_hat: np.ndarray, q: QuantileEstimate, omega: np.ndarray, m_bound: float
+) -> list[float]:
     lam = select_lambda_star(q, m_bound)
     try:
         est = solve_clime(s_hat, lam)
@@ -358,13 +393,25 @@ def _clime_row(
     ]
 
 
-def _linfun_row(
-    cfg: ExperimentConfig, sigma: np.ndarray, s_hat: np.ndarray, q: QuantileEstimate
-) -> list[float]:
+def _linfun_truth(
+    cfg: ExperimentConfig, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """b = e_1, theta = Sigma^{-1} b and the bound M (``m_bound`` or
+    ||theta||_1)."""
     b = np.zeros(cfg.p)
     b[0] = 1.0
     theta = np.linalg.solve(sigma, b)
     m_bound = cfg.m_bound if cfg.m_bound is not None else float(np.sum(np.abs(theta)))
+    return b, theta, m_bound
+
+
+def _linfun_row(
+    s_hat: np.ndarray,
+    q: QuantileEstimate,
+    b: np.ndarray,
+    theta: np.ndarray,
+    m_bound: float,
+) -> list[float]:
     lam = select_lambda_star(q, m_bound)
     sol = solve_dantzig_linfun(s_hat, b, lam)
     if sol.theta is None:
@@ -380,29 +427,44 @@ def _linfun_row(
     ]
 
 
-# row of (cfg, Sigma, S, a(1 - alpha)) after the replication index, its three
-# error columns, and the one whose mean over feasible replications is reported
+# the truth built once per run from (cfg, Sigma), the row of (S, a(1 - alpha),
+# *truth) after the replication index, its three error columns, and the one
+# whose mean over feasible replications is reported
 _L1 = {
     "clime_eval": (
+        _clime_truth,
         _clime_row,
         ["spectral_err", "frob_err_per_p", "sup_err"],
         "spectral_err",
     ),
-    "linfun_eval": (_linfun_row, ["err_l1", "err_l2", "err_linf"], "err_linf"),
+    "linfun_eval": (
+        _linfun_truth,
+        _linfun_row,
+        ["err_l1", "err_l2", "err_linf"],
+        "err_linf",
+    ),
 }
 
 
-def _l1_rep(cfg: ExperimentConfig, r: int) -> list[float]:
-    model = cfg.build_model()
+def _l1_rep(
+    cfg: ExperimentConfig,
+    model: EllipticalModel,
+    row: Callable[..., list[float]],
+    truth: tuple,
+    r: int,
+) -> list[float]:
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r)
     q = quantile(draws, 1.0 - cfg.alpha)
-    return [float(r), *_L1[cfg.experiment][0](cfg, population_sigma(model), u.u, q)]
+    return [float(r), *row(u.u, q, *truth)]
 
 
 def run_l1_eval(cfg: ExperimentConfig) -> ExperimentResult:
-    _, errors, reported = _L1[cfg.experiment]
+    make_truth, row, errors, reported = _L1[cfg.experiment]
     columns = ["replication", "lambda_star", *errors, "feasible", "zero_solution"]
-    rows = _map_reps(_l1_rep, cfg, cfg.replications)
+    model = cfg.build_model()
+    truth = make_truth(cfg, population_sigma(model))
+    rep = partial(_l1_rep, cfg, model, row, truth)
+    rows = _map_reps(rep, cfg, cfg.replications)
     arr = np.array(rows)
     ok = arr[:, 5] == 1.0
     mean_err = arr[ok, columns.index(reported)].mean() if ok.any() else np.nan
@@ -426,13 +488,13 @@ def run_l1_eval(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def _scaling_rep(cfg: ExperimentConfig, r: int) -> np.ndarray:
+def _scaling_rep(
+    cfg: ExperimentConfig, model: EllipticalModel, sigma: np.ndarray, r: int
+) -> np.ndarray:
     """For every n in the grid: sup norms of the canonical remainder of the
     covariance-kernel U-statistic and of its Hajek part, from closed forms
     with the population projections (mean-zero data)."""
     tag = _TAGS["maximal_ineq_scaling"]
-    model = cfg.build_model()
-    sigma = population_sigma(model)
     out = np.empty(2 * len(cfg.n_grid))
     for i, n in enumerate(cfg.n_grid):
         data = sample(model, int(n), cfg.seed, tag, r, i)
@@ -450,7 +512,9 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def run_maximal_ineq_scaling(cfg: ExperimentConfig) -> ExperimentResult:
-    res = np.vstack(_map_reps(_scaling_rep, cfg, cfg.replications))
+    model = cfg.build_model()
+    rep = partial(_scaling_rep, cfg, model, population_sigma(model))
+    res = np.vstack(_map_reps(rep, cfg, cfg.replications))
     k = len(cfg.n_grid)
     mean_can = res[:, :k].mean(axis=0)
     mean_haj = res[:, k:].mean(axis=0)

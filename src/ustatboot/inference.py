@@ -30,7 +30,8 @@ class TestResult:
 
 def _rejects(statistic: float, critical_value: float) -> bool:
     """The rejection rule of every sup-norm test: statistic >= critical
-    value, so a tie at the critical value rejects, a zero one included."""
+    value, so a tie at the critical value rejects.  A bootstrap whose draws
+    are all 0 raises ``DegenerateBootstrapError`` before any comparison."""
     return statistic >= critical_value
 
 

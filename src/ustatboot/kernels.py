@@ -15,7 +15,9 @@ possible:
   as an (n_x, p(p+1)/2) matrix whose row i is the half-vectorization
   (``matstat.vech`` order, the lower triangle by columns) of that symmetric
   mean.  The bootstrap reads only these distinct entries, so no (n_x, p, p)
-  array is built.
+  array is built; for the covariance kernel it reads the factors of
+  ``CovarianceKernel.cross_factors`` instead and builds no (n_x, p(p+1)/2)
+  matrix either.
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
 h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
@@ -35,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matstat import vech, vech_pairs
+from .matstat import vech, vech_outer_rows, vech_pairs
 
 __all__ = [
     "Kernel",
@@ -136,23 +138,26 @@ class CovarianceKernel(Kernel):
         c = data - data.mean(axis=0)
         return (c.T @ c) / (n - 1)
 
-    def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # mean_j h(x, y_j) = ((x - ybar)(x - ybar)^T + C) / 2, with C the
-        # mean of (y_j - ybar)(y_j - ybar)^T.  vech column block k holds the
-        # entries (j, k), j >= k: one product of column k with columns k..p-1
+    def cross_factors(
+        self, xs: np.ndarray, ys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(d^T, vech(C)) with d = xs - ybar as a contiguous (p, n_x) array
+        and C the mean of (y_j - ybar)(y_j - ybar)^T, so that
+        mean_j h(x_i, y_j) = (d_i d_i^T + C) / 2."""
         xs, ys = _check_samples(xs, ys)
         ybar = ys.mean(axis=0)
         cy = ys - ybar
-        d = xs - ybar
-        p = d.shape[1]
-        out = np.empty((d.shape[0], p * (p + 1) // 2))
-        start = 0
-        for k in range(p):
-            np.multiply(d[:, k:], d[:, k, None], out=out[:, start : start + p - k])
-            start += p - k
-        out += vech((cy.T @ cy) / ys.shape[0])
+        d_t = np.subtract(xs.T, ybar[:, None], order="C")
+        return d_t, vech((cy.T @ cy) / ys.shape[0])
+
+    def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        # vech row (j, k) of the transposed result is d_j * d_k over the rows
+        # of xs: one product per vech position, no (n_x, p, p) array
+        d_t, c = self.cross_factors(xs, ys)
+        out = vech_outer_rows(d_t)
+        out += c[:, None]
         out /= 2.0
-        return out
+        return out.T
 
 
 class KendallKernel(Kernel):

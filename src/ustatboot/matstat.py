@@ -18,6 +18,7 @@ __all__ = [
     "vech_pairs",
     "vech",
     "unvech",
+    "vech_outer_rows",
     "sup_norm",
     "spectral_norm",
     "frobenius_norm",
@@ -93,6 +94,26 @@ def unvech(v: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros(v.shape[:-1] + (p, p))
     out[..., rows, cols] = v
     out[..., cols, rows] = v
+    return out
+
+
+def vech_outer_rows(
+    d_t: np.ndarray, k0: int = 0, k1: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The outer products d_i d_i^T of the columns d_i of ``d_t`` (p x n),
+    half-vectorized and transposed: one row per vech position of the
+    entries (j, k), j >= k, of matrix columns k0..k1-1 (all by default), one
+    column per i.  Row (j, k) is d_t[j] * d_t[k]; ``out`` receives it when
+    given."""
+    p = d_t.shape[0]
+    k1 = p if k1 is None else k1
+    if out is None:
+        width = (k1 - k0) * p - (k1 * (k1 - 1) - k0 * (k0 - 1)) // 2
+        out = np.empty((width, d_t.shape[1]))
+    start = 0
+    for k in range(k0, k1):
+        np.multiply(d_t[k:], d_t[k], out=out[start : start + p - k])
+        start += p - k
     return out
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ustatboot.bootstrap import (
     BootstrapDraws,
     DecoupledGEstimates,
+    DegenerateBootstrapError,
     bootstrap_halves,
     draw_bootstrap,
     estimate_g_decoupled,
@@ -17,9 +18,9 @@ from ustatboot.bootstrap import (
     split_sample,
 )
 from ustatboot.kernels import CovarianceKernel, KendallKernel
-from ustatboot.matstat import vech
+from ustatboot.matstat import vech, vech_pairs
 from ustatboot.rngutil import substream
-from ustatboot.ustat import UStatResult
+from ustatboot.ustat import RESTRICTIONS, SCALINGS, UStatResult, entry_max
 
 
 def test_split_sample_disjoint_and_exhaustive():
@@ -130,8 +131,6 @@ def test_draw_bootstrap_raw_scaling_is_signed_max():
 def _draw_loop(g, b, scaling, restriction, seed, *key):
     """Per-draw reference: row d of the one substream (seed, *key) and one
     mat-vec per draw."""
-    from ustatboot.matstat import vech_pairs
-
     flat = g.g_hat
     if restriction == "offdiag":
         rows, cols = vech_pairs(g.p)
@@ -251,17 +250,63 @@ def test_decoupled_estimates_reject_a_dense_g_hat():
 
 
 def test_draw_bootstrap_offdiag_ignores_diagonal():
-    # inflate diagonal entries of g_hat: offdiag draws must not change
-    g = _toy_g()
-    base = draw_bootstrap(g, 20, "applications", "offdiag", 7)
-    g2_hat = g.g_hat.copy()
-    g2_hat[:, vech(np.eye(g.p)) == 1.0] += 100.0
-    from ustatboot.bootstrap import DecoupledGEstimates
+    # inflate diagonal entries of g_hat: offdiag draws must not change; at
+    # p = 300 the diagonal positions fall in many vech column blocks
+    wide = estimate_g_decoupled(
+        *np.random.default_rng(2).standard_normal((2, 8, 300)), KendallKernel()
+    )
+    for g in (_toy_g(), wide):
+        base = draw_bootstrap(g, 20, "applications", "offdiag", 7)
+        g2_hat = g.g_hat.copy()
+        g2_hat[:, vech(np.eye(g.p)) == 1.0] += 100.0
+        g2 = DecoupledGEstimates(g_hat=g2_hat, train_u=g.train_u)
+        bumped = draw_bootstrap(g2, 20, "applications", "offdiag", 7)
+        np.testing.assert_array_equal(base.values, bumped.values)
+        assert draw_bootstrap(g2, 20, "applications", "all", 7).values[-1] > base.values[-1]
 
-    g2 = DecoupledGEstimates(g_hat=g2_hat, train_u=g.train_u)
-    bumped = draw_bootstrap(g2, 20, "applications", "offdiag", 7)
-    np.testing.assert_array_equal(base.values, bumped.values)
-    assert draw_bootstrap(g2, 20, "applications", "all", 7).values[-1] > base.values[-1]
+
+def _unblocked_draws(g, b, scaling, restriction, seed, *key):
+    """Reference: the whole (b, p(p+1)/2) product e @ g_hat, one
+    ``entry_max`` over it, then the scaling."""
+    e = substream(seed, *key).standard_normal((b, g.n))
+    j, k = vech_pairs(g.p)
+    values = entry_max(e @ g.g_hat, j == k, scaling, restriction)
+    values = values / math.sqrt(g.n) if scaling == "raw" else 2.0 * values / g.n
+    return np.sort(values)
+
+
+@pytest.mark.parametrize("kernel", [CovarianceKernel(), KendallKernel()])
+@pytest.mark.parametrize("p", [1, 2, 5, 40, 300])
+def test_blocked_draws_match_the_unblocked_product(kernel, p):
+    # 41 rows split into two halves of 20; at p = 300 the vech order is cut
+    # into many column blocks
+    data = np.random.default_rng(p).standard_normal((41, p)) + 3.0
+    g = estimate_g_decoupled(*split_sample(data, 3, 1), kernel)
+    if isinstance(kernel, KendallKernel) and p == 1:
+        # h = sign(x1 - x2)^2 + 1 = 2 on untied pairs, so g_hat is 0
+        with pytest.raises(DegenerateBootstrapError):
+            draw_bootstrap(g, 30, "raw", "all", 3, 2)
+        return
+    for scaling in SCALINGS:
+        for restriction in RESTRICTIONS[: 1 if p == 1 else 2]:
+            got = draw_bootstrap(g, 30, scaling, restriction, 3, 2).values
+            want = _unblocked_draws(g, 30, scaling, restriction, 3, 2)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_covariance_bootstrap_peak_memory_is_blocked():
+    # unblocked, g_hat (n, p(p+1)/2) and the (B, p(p+1)/2) product are 64 MB
+    # and 128 MB at n = 100, p = 400, B = 200
+    n, p, b = 100, 400, 200
+    main, train = np.random.default_rng(8).standard_normal((2, n, p))
+    tracemalloc.start()
+    try:
+        g = estimate_g_decoupled(main, train, CovarianceKernel())
+        draw_bootstrap(g, b, "applications", "offdiag", 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 def test_draw_bootstrap_rejects_bad_args():

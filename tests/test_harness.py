@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ustatboot.bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, split_sample
-from ustatboot.distributions import population_sigma, sample
+from ustatboot.distributions import contaminated_normal, population_sigma, sample
 from ustatboot.harness.cli import main as cli_main
 from ustatboot.harness.config import (
     EXPERIMENT_NAMES,
@@ -147,12 +147,14 @@ def test_nvh_naive_draw_is_gaussian_ustat_on_its_substream():
     # N(0, Sigma) rows drawn on substream (seed, tag, r, 2, 0)
     tag = EXPERIMENT_NAMES.index("naive_vs_hajek")
     cfg = small("naive_vs_hajek", seed=5)
-    sigma = population_sigma(cfg.build_model())
+    model = cfg.build_model()
+    sigma = population_sigma(model)
+    gaussian = contaminated_normal(sigma, 0.0, 1.0)
     low = cholesky(sigma)
     for r in range(3):
         y = substream(cfg.seed, tag, r, 2, 0).standard_normal((cfg.n, cfg.p)) @ low.T
         expected = sup_stat(compute_u(y, CovarianceKernel()), sigma, "raw")
-        assert _nvh_rep(cfg, r)[1] == expected
+        assert _nvh_rep(cfg, model, sigma, gaussian, r)[1] == expected
 
 
 @pytest.mark.parametrize("name", ["clime_eval", "linfun_eval"])

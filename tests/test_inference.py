@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ustatboot.bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, split_sample
+from ustatboot.bootstrap import (
+    DegenerateBootstrapError,
+    draw_bootstrap,
+    estimate_g_decoupled,
+    quantile,
+    split_sample,
+)
 from ustatboot.distributions import build_v, contaminated_normal, population_sigma, sample
 from ustatboot.inference import (
     test_covariance as covariance_test,
@@ -54,13 +60,12 @@ def test_covariance_test_rejects_gross_violation(m1_data):
 
 
 @pytest.mark.parametrize("run_test", [covariance_test, kendall_test])
-def test_zero_statistic_at_zero_critical_value_rejects(run_test):
-    # constant data make every decoupled estimate and so every draw zero, and
-    # U equals the null off the diagonal; the one rule statistic >= critical
-    # value, which the test_size experiment counts, rejects at the tie
-    res = run_test(np.ones((20, 3)), np.zeros((3, 3)), 0.05, 50, 7)
-    assert res.statistic == 0.0 and res.critical_value == 0.0
-    assert res.reject is True
+def test_degenerate_bootstrap_raises(run_test):
+    # constant data make every decoupled estimate and so every draw zero; a
+    # zero critical value is no test, so the bootstrap fails loudly instead
+    # of rejecting at the tie statistic == critical value == 0
+    with pytest.raises(DegenerateBootstrapError, match="every bootstrap draw is 0"):
+        run_test(np.ones((20, 3)), np.zeros((3, 3)), 0.05, 50, 7)
 
 
 def test_covariance_test_holds_under_h0(m1_data):
