@@ -13,7 +13,6 @@ from .bootstrap import (
     BootstrapDraws,
     DecoupledGEstimates,
     DegenerateBootstrapError,
-    QuantileEstimate,
     bootstrap_halves,
     draw_bootstrap,
     estimate_g_decoupled,
@@ -67,7 +66,6 @@ __all__ = [
     "BootstrapDraws",
     "DecoupledGEstimates",
     "DegenerateBootstrapError",
-    "QuantileEstimate",
     "bootstrap_halves",
     "draw_bootstrap",
     "estimate_g_decoupled",

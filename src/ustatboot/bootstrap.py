@@ -3,7 +3,7 @@
 Pipeline: split the sample into a main and a training half, estimate the
 Hajek projection at each main row against the training half (the decoupled
 estimator), then perturb the estimates with iid standard normal multipliers
-and read quantiles off the sorted draws.
+and read quantiles and decisions off the sorted draws at one rank, ``_rank``.
 
 The draws never hold the (B, p(p+1)/2) product of the multipliers with ghat,
 nor, for the covariance kernel, ghat itself.  ``draw_bootstrap`` reads ghat
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +45,6 @@ __all__ = [
     "DegenerateBootstrapError",
     "DecoupledGEstimates",
     "BootstrapDraws",
-    "QuantileEstimate",
     "split_sample",
     "estimate_g_decoupled",
     "draw_bootstrap",
@@ -146,13 +146,34 @@ class _CovarianceEstimates(DecoupledGEstimates):
             yield lo, a, rows.T
 
 
+def _rank(alpha: float, b: int) -> int:
+    """The 1-based rank of the inf-quantile at level alpha among b sorted
+    draws: ceil(alpha * b), at least 1.
+
+    Levels like 1 - 0.95 carry rounding error of a few units of double
+    precision at 1, so alpha * b within that distance of an integer is taken
+    as that integer (ceil(0.05 * 200) is 10, not 11)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+    k = alpha * b
+    rank = round(k)
+    if abs(k - rank) > 4 * b * math.ulp(1.0):
+        rank = math.ceil(k)
+    return max(rank, 1)
+
+
 @dataclass(frozen=True, eq=False)
 class BootstrapDraws:
-    """Sorted multiplier-bootstrap draws defining the quantile function."""
+    """Sorted multiplier-bootstrap draws defining the quantile function; a
+    non-finite draw raises FloatingPointError."""
 
     values: np.ndarray  # ascending
     scaling: str
     restriction: str
+
+    def __post_init__(self):
+        if not np.isfinite(self.values).all():
+            raise FloatingPointError("bootstrap draws must be finite")
 
     @property
     def b(self) -> int:
@@ -162,14 +183,24 @@ class BootstrapDraws:
         """The centred maximum of U whose law these draws approximate."""
         return sup_stat(u, target, self.scaling, self.restriction)
 
+    def covers(self, statistic: float, alphas: Iterable[float]) -> np.ndarray:
+        """statistic <= quantile(self, alpha) per alpha: fewer than
+        ``_rank(alpha, b)`` draws lie below the statistic."""
+        below, b = int(np.searchsorted(self.values, statistic, "left")), self.b
+        return np.array([below < _rank(a, b) for a in alphas])
 
-@dataclass(frozen=True)
-class QuantileEstimate:
-    """Empirical inf-quantile (an order statistic of the draws)."""
+    def rejects(self, statistic: float, alphas: Iterable[float]) -> np.ndarray:
+        """statistic >= quantile(self, 1 - alpha) per alpha: at least
+        ``_rank(1 - alpha, b)`` draws lie at or below the statistic.  Counts
+        decide, not ``p_value <= alpha``, which fails at b = 100 with 10 draws
+        above and alpha = 1 - 0.9 = 0.09999999999999998."""
+        at_most, b = int(np.searchsorted(self.values, statistic, "right")), self.b
+        return np.array([at_most >= _rank(1.0 - a, b) for a in alphas])
 
-    alpha: float
-    value: float
-    b: int
+    def p_value(self, statistic: float) -> float:
+        """The share of draws above the statistic."""
+        at_most = int(np.searchsorted(self.values, statistic, "right"))
+        return (self.b - at_most) / self.b
 
 
 def split_sample(
@@ -282,22 +313,7 @@ def bootstrap_halves(
     )
 
 
-def quantile(draws: BootstrapDraws, alpha: float) -> QuantileEstimate:
-    """Empirical inf-quantile: the ceil(alpha * B)-th order statistic.
-
-    Levels like 1 - 0.95 carry rounding error of a few units of double
-    precision at 1, so alpha * B within that distance of an integer is taken
-    as that integer (ceil(0.05 * 200) is 10, not 11).  Raises
-    FloatingPointError if the selected draw is not finite.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    b = draws.b
-    k = alpha * b
-    rank = round(k)
-    if abs(k - rank) > 4 * b * math.ulp(1.0):
-        rank = math.ceil(k)
-    value = float(draws.values[max(rank, 1) - 1])
-    if not math.isfinite(value):
-        raise FloatingPointError(f"bootstrap quantile at level {alpha} is {value}")
-    return QuantileEstimate(alpha=alpha, value=value, b=b)
+def quantile(draws: BootstrapDraws, alpha: float) -> float:
+    """Empirical inf-quantile: the draw at ``_rank(alpha, B)``, the
+    ceil(alpha * B)-th order statistic."""
+    return float(draws.values[_rank(alpha, draws.b) - 1])

@@ -50,6 +50,8 @@ class EllipticalModel:
 
     def __post_init__(self):
         object.__setattr__(self, "v", as_sym(self.v))
+        if not np.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu}")
         if self.family == CONTAMINATED:
             if self.epsilon is None or not 0.0 <= self.epsilon < 1.0:
                 raise ValueError("contaminated normal needs epsilon in [0, 1)")

@@ -7,11 +7,11 @@ small dense LPs), and the error metrics reported for them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import QuantileEstimate
 from .lp import LpProblem, solve_lp
 from .matstat import frobenius_norm, spectral_norm, sup_norm
 
@@ -64,20 +64,21 @@ def threshold_cov(s_hat: np.ndarray, tau: float) -> np.ndarray:
     return np.where(np.abs(s_hat) > tau, s_hat, 0.0)
 
 
-def select_tau_star(q: QuantileEstimate, beta: float) -> float:
-    """Bootstrap threshold tau* = quantile / beta; beta = 1 is the
-    exactly-sparse case."""
+def select_tau_star(q: float, beta: float) -> float:
+    """Bootstrap threshold tau* = q / beta for the bootstrap quantile q;
+    beta = 1 is the exactly-sparse case."""
     if not 0.0 < beta <= 1.0:
         raise ValueError("beta must be in (0, 1]")
-    return q.value / beta
+    return q / beta
 
 
-def select_lambda_star(q: QuantileEstimate, m_bound: float) -> float:
-    """Bootstrap tuning parameter lambda* = M * quantile, with M an upper
-    bound on the matrix L1 norm of Omega (CLIME) or |theta|_1 (linfun)."""
-    if m_bound <= 0:
-        raise ValueError("m_bound must be positive")
-    return m_bound * q.value
+def select_lambda_star(q: float, m_bound: float) -> float:
+    """Bootstrap tuning parameter lambda* = M q for the bootstrap quantile q,
+    with M an upper bound on the matrix L1 norm of Omega (CLIME) or
+    |theta|_1 (linfun)."""
+    if not 0.0 < m_bound < math.inf:
+        raise ValueError("m_bound must be finite and > 0")
+    return m_bound * q
 
 
 def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> dict[str, float]:

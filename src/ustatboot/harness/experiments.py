@@ -9,20 +9,14 @@ binds it to the replication function with ``functools.partial``.
 
 from __future__ import annotations
 
-import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
-from ..bootstrap import (
-    BootstrapDraws,
-    QuantileEstimate,
-    bootstrap_halves,
-    quantile,
-)
+from ..bootstrap import BootstrapDraws, bootstrap_halves, quantile
 from ..distributions import (
     EllipticalModel,
     contaminated_normal,
@@ -40,7 +34,6 @@ from ..estimators import (
     threshold_cov,
 )
 from ..gaussian_approx import kolmogorov_distance
-from ..inference import _rejects
 from ..kernels import CovarianceKernel, Kernel, KendallKernel
 from ..matstat import matrix_l1_norm, sup_norm
 from ..ustat import UStatResult, compute_u, sup_stat
@@ -92,18 +85,6 @@ def _bootstrap(
     )
 
 
-def _hits(
-    stat: float,
-    draws: BootstrapDraws,
-    levels: Iterable[float],
-    compare: Callable[[float, float], bool],
-) -> np.ndarray:
-    """1.0 where compare(stat, quantile of the draws at the level) holds."""
-    return np.array(
-        [1.0 if compare(stat, quantile(draws, a).value) else 0.0 for a in levels]
-    )
-
-
 # ---------------------------------------------------------------------------
 # pp_plot: empirical P(T0bar <= a(alpha)) over an alpha grid (raw scaling)
 # coverage: P(||S - Sigma||_sup <= a(alpha)) at the applications scaling
@@ -120,7 +101,7 @@ def _curve_rep(
     scaling, _ = _CURVES[cfg.experiment]
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, scaling=scaling)
     stat = draws.statistic(u, sigma)
-    return _hits(stat, draws, cfg.alpha_grid, operator.le)
+    return draws.covers(stat, cfg.alpha_grid)
 
 
 def run_coverage_curve(cfg: ExperimentConfig) -> ExperimentResult:
@@ -311,8 +292,6 @@ def _test_size_rep(
     ind_model: EllipticalModel,
     r: int,
 ) -> np.ndarray:
-    levels = 1.0 - np.asarray(cfg.alpha_grid)
-
     # covariance test under H0: Sigma = Sigma0
     u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, restriction="offdiag")
     stat_cov = draws.statistic(u, sigma)
@@ -325,8 +304,8 @@ def _test_size_rep(
     stat_ken = draws_k.statistic(u_k, np.eye(cfg.p) + 1.0)
     return np.concatenate(
         [
-            _hits(stat_cov, draws, levels, _rejects),
-            _hits(stat_ken, draws_k, levels, _rejects),
+            draws.rejects(stat_cov, cfg.alpha_grid),
+            draws_k.rejects(stat_ken, cfg.alpha_grid),
         ]
     )
 
@@ -375,7 +354,7 @@ def _clime_truth(
 
 
 def _clime_row(
-    s_hat: np.ndarray, q: QuantileEstimate, omega: np.ndarray, m_bound: float
+    s_hat: np.ndarray, q: float, omega: np.ndarray, m_bound: float
 ) -> list[float]:
     lam = select_lambda_star(q, m_bound)
     try:
@@ -407,7 +386,7 @@ def _linfun_truth(
 
 def _linfun_row(
     s_hat: np.ndarray,
-    q: QuantileEstimate,
+    q: float,
     b: np.ndarray,
     theta: np.ndarray,
     m_bound: float,

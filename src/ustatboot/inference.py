@@ -26,13 +26,7 @@ class TestResult:
     alpha: float
     reject: bool
     b: int
-
-
-def _rejects(statistic: float, critical_value: float) -> bool:
-    """The rejection rule of every sup-norm test: statistic >= critical
-    value, so a tie at the critical value rejects.  A bootstrap whose draws
-    are all 0 raises ``DegenerateBootstrapError`` before any comparison."""
-    return statistic >= critical_value
+    p_value: float  # the share of draws above the statistic
 
 
 def _run_test(
@@ -51,13 +45,13 @@ def _run_test(
         data, kernel, b, "applications", restriction, seed, *key, 0
     )
     stat = draws.statistic(u, u0)
-    crit = quantile(draws, 1.0 - alpha).value
     return TestResult(
         statistic=stat,
-        critical_value=crit,
+        critical_value=quantile(draws, 1.0 - alpha),
         alpha=alpha,
-        reject=_rejects(stat, crit),
+        reject=bool(draws.rejects(stat, (alpha,))[0]),
         b=b,
+        p_value=draws.p_value(stat),
     )
 
 

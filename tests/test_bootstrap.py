@@ -366,15 +366,20 @@ def test_quantile_order_statistic_oracle():
         values=np.array([1.0, 2.0, 3.0, 4.0, 5.0]), scaling="raw", restriction="all"
     )
     # ceil(alpha * 5)-th order statistic, 1-based
-    assert quantile(draws, 0.05).value == 1.0
-    assert quantile(draws, 0.2).value == 1.0
-    assert quantile(draws, 0.21).value == 2.0
-    assert quantile(draws, 0.5).value == 3.0
-    assert quantile(draws, 0.95).value == 5.0
+    assert quantile(draws, 0.05) == 1.0
+    assert quantile(draws, 0.2) == 1.0
+    assert quantile(draws, 0.21) == 2.0
+    assert quantile(draws, 0.5) == 3.0
+    assert quantile(draws, 0.95) == 5.0
     with pytest.raises(ValueError):
         quantile(draws, 0.0)
     with pytest.raises(ValueError):
         quantile(draws, 1.0)
+
+
+def _levels(i):
+    """Level i / 20 written the ways callers compute it."""
+    return (i / 20, i * 0.05, 1.0 - (20 - i) / 20, 1.0 - (20 - i) * 0.05)
 
 
 @pytest.mark.parametrize("b", [1, 7, 20, 99, 200, 1000, 4096])
@@ -386,18 +391,49 @@ def test_quantile_index_exact_on_level_grid(b):
     )
     for i in range(1, 20):
         rank = max(math.ceil(Fraction(i, 20) * b), 1)
-        for alpha in (i / 20, i * 0.05, 1.0 - (20 - i) / 20, 1.0 - (20 - i) * 0.05):
-            assert quantile(draws, alpha).value == rank, (alpha, b)
+        for alpha in _levels(i):
+            assert quantile(draws, alpha) == rank, (alpha, b)
 
 
-def test_quantile_rejects_non_finite_draw():
+def test_draws_reject_non_finite_values():
+    # a non-finite draw fails when the draws are built, before any quantile
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(FloatingPointError, match="must be finite"):
+            BootstrapDraws(
+                values=np.array([1.0, 2.0, bad]), scaling="raw", restriction="all"
+            )
+
+
+@pytest.mark.parametrize("b", [1, 7, 20, 99, 100, 200, 1000])
+def test_rank_decisions_match_per_level_quantiles(b):
+    # the reference compares the statistic with quantile at each level
+    rng = np.random.default_rng(b)
+    values = np.sort(rng.integers(0, max(b // 3, 2), size=b).astype(float))
+    draws = BootstrapDraws(values=values, scaling="applications", restriction="all")
+    alphas = [a for i in range(1, 20) for a in _levels(i)]
+    alphas += [0.001, 0.01, 0.07, 0.15, 0.29]
+    stats = np.concatenate([values, values - 0.5, values + 0.5, [-1.0, 1e9]])
+    for stat in np.unique(stats):
+        stat = float(stat)
+        covered = [stat <= quantile(draws, a) for a in alphas]
+        rejected = [stat >= quantile(draws, 1.0 - a) for a in alphas]
+        assert draws.covers(stat, alphas).tolist() == covered, (b, stat)
+        assert draws.rejects(stat, alphas).tolist() == rejected, (b, stat)
+        assert draws.p_value(stat) == np.count_nonzero(values > stat) / b
+
+
+def test_rejects_counts_draws_not_p_value_at_one_minus_point_nine():
+    # 10 of 100 draws lie above the statistic: the p-value is 0.1, and
+    # 0.1 <= 1 - 0.9 = 0.09999999999999998 is false, yet the 90 % quantile
+    # is the 90th draw, which the statistic equals, so the test rejects
     draws = BootstrapDraws(
-        values=np.array([1.0, 2.0, np.inf, np.nan]), scaling="raw", restriction="all"
+        values=np.arange(1.0, 101.0), scaling="applications", restriction="all"
     )
-    assert quantile(draws, 0.5).value == 2.0
-    for alpha in (0.75, 0.95):
-        with pytest.raises(FloatingPointError):
-            quantile(draws, alpha)
+    alpha = 1.0 - 0.9
+    assert draws.p_value(90.0) == 0.1 > alpha
+    assert quantile(draws, 1.0 - alpha) == 90.0
+    assert draws.rejects(90.0, [alpha]).tolist() == [True]
+    assert draws.rejects(89.5, [alpha]).tolist() == [False]
 
 
 @given(
@@ -411,4 +447,4 @@ def test_quantile_monotone_in_alpha(values, a1, a2):
         values=np.sort(np.asarray(values)), scaling="raw", restriction="all"
     )
     lo, hi = sorted([a1, a2])
-    assert quantile(draws, lo).value <= quantile(draws, hi).value
+    assert quantile(draws, lo) <= quantile(draws, hi)

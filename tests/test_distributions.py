@@ -37,6 +37,11 @@ def test_model_validation():
         elliptic_t(np.eye(2), nu=4.0)
     with pytest.raises(ValueError):
         EllipticalModel(family="weird", v=np.eye(2), nu=2.0)
+    for nu in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nu must be finite"):
+            contaminated_normal(np.eye(2), epsilon=0.2, nu=nu)
+        with pytest.raises(ValueError, match="nu must be finite"):
+            elliptic_t(np.eye(2), nu=nu)
 
 
 def test_population_sigma_scalings():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ustatboot import estimators
-from ustatboot.bootstrap import QuantileEstimate
 from ustatboot.distributions import build_v, contaminated_normal, sample
 from ustatboot.estimators import (
     ClimeInfeasibleError,
@@ -17,10 +16,6 @@ from ustatboot.estimators import (
     solve_dantzig_linfun,
     threshold_cov,
 )
-
-
-def _q(value):
-    return QuantileEstimate(alpha=0.95, value=value, b=200)
 
 
 def test_threshold_strict_inequality():
@@ -52,13 +47,14 @@ def test_threshold_idempotent_and_monotone(seed, t1, t2):
 
 
 def test_select_tau_and_lambda():
-    assert select_tau_star(_q(0.3), 1.0) == pytest.approx(0.3)
-    assert select_tau_star(_q(0.3), 0.5) == pytest.approx(0.6)
-    assert select_lambda_star(_q(0.3), 2.0) == pytest.approx(0.6)
+    assert select_tau_star(0.3, 1.0) == pytest.approx(0.3)
+    assert select_tau_star(0.3, 0.5) == pytest.approx(0.6)
+    assert select_lambda_star(0.3, 2.0) == pytest.approx(0.6)
     with pytest.raises(ValueError):
-        select_tau_star(_q(0.3), 0.0)
-    with pytest.raises(ValueError):
-        select_lambda_star(_q(0.3), -1.0)
+        select_tau_star(0.3, 0.0)
+    for m_bound in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            select_lambda_star(0.3, m_bound)
 
 
 def test_error_metrics_oracle():

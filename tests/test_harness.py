@@ -137,7 +137,7 @@ def test_coverage_replication_follows_stream_layout():
         g = estimate_g_decoupled(main, train, kernel)
         draws = draw_bootstrap(g, cfg.bootstrap_b, "applications", "all", seed, tag, 0, 2)
         expected = [
-            [a, 1.0 if err <= quantile(draws, a).value else 0.0] for a in cfg.alpha_grid
+            [a, 1.0 if err <= quantile(draws, a) else 0.0] for a in cfg.alpha_grid
         ]
         assert run_experiment(cfg).rows == expected
 
@@ -262,7 +262,7 @@ def test_cli_degenerate_config_exit_code(tmp_path, name, over):
     "field, values",
     [
         ("p", [6.5, 6.0, "6", True]),
-        ("nu", [True, "1.5", None]),
+        ("nu", [True, "1.5", None, float("nan"), float("inf")]),
         ("epsilon", [False, "0.2"]),
         ("rho", [True, "0.7"]),
     ],

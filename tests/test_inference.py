@@ -47,7 +47,15 @@ def test_covariance_test_follows_stream_layout(m1_data):
     g = estimate_g_decoupled(main, train, kernel)
     draws = draw_bootstrap(g, 50, "applications", "offdiag", seed, *key, 1)
     assert res.statistic == stat
-    assert res.critical_value == quantile(draws, 0.9).value
+    assert res.critical_value == quantile(draws, 0.9)
+    # reject and p_value against the per-level quantile, written the ways
+    # callers compute a level
+    assert res.p_value == np.count_nonzero(draws.values > stat) / 50
+    for i in range(1, 20):
+        for alpha in (i / 20, i * 0.05, 1.0 - (20 - i) / 20, 1.0 - (20 - i) * 0.05):
+            res = covariance_test(data, sigma0, alpha, 50, seed, *key)
+            assert res.reject is (stat >= quantile(draws, 1.0 - alpha)), alpha
+            assert res.p_value == np.count_nonzero(draws.values > stat) / 50
 
 
 def test_covariance_test_rejects_gross_violation(m1_data):
