@@ -37,13 +37,14 @@ from typing import Iterable
 import numpy as np
 
 from .kernels import CovarianceKernel, Kernel, check_data
-from .matstat import vech, vech_outer_rows, vech_pairs
+from .matstat import vech, vech_outer_rows
 from .rngutil import SeedLike, substream
 from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
 
 __all__ = [
     "DegenerateBootstrapError",
     "DecoupledGEstimates",
+    "check_level",
     "BootstrapDraws",
     "split_sample",
     "estimate_g_decoupled",
@@ -58,17 +59,19 @@ __all__ = [
 _BLOCK_SIZE = 2**16
 
 
-def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int]]:
-    """(k0, k1, lo, hi) per block of a ghat with n rows: matrix columns
-    k0..k1-1, which fill the vech positions lo..hi-1."""
+def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int, list[int]]]:
+    """(k0, k1, lo, hi, diag) per block of a ghat with n rows: matrix columns
+    k0..k1-1, which fill the vech positions lo..hi-1, and the block offsets
+    of their diagonal entries (k, k), each the first of its column."""
     blocks = []
     k0 = lo = 0
     while k0 < p:
-        k1, hi = k0, lo
+        k1, hi, diag = k0, lo, []
         while k1 < p and (hi - lo) * n < _BLOCK_SIZE:
+            diag.append(hi - lo)
             hi += p - k1
             k1 += 1
-        blocks.append((k0, k1, lo, hi))
+        blocks.append((k0, k1, lo, hi, diag))
         k0, lo = k1, hi
     return blocks
 
@@ -99,12 +102,13 @@ class DecoupledGEstimates:
     def p(self) -> int:
         return self.train_u.shape[0]
 
-    def blocks(self, e: np.ndarray):
-        """Yield (lo, a, x) per vech column block of ``_column_blocks``, with
-        a @ x = e @ g_hat[:, lo:lo + x.shape[1]] for the (b, n) multipliers
-        e.  Each x is valid until the next block is asked for."""
-        for _, _, lo, hi in _column_blocks(self.p, self.n):
-            yield lo, e, self.g_hat[:, lo:hi]
+    def blocks(self, e: np.ndarray, schedule: list):
+        """Yield (a, x) per block (k0, k1, lo, hi, diag) of the
+        ``_column_blocks`` schedule, with a @ x = e @ g_hat[:, lo:hi] for the
+        (b, n) multipliers e.  Each x is valid until the next block is asked
+        for."""
+        for _, _, lo, hi, _ in schedule:
+            yield e, self.g_hat[:, lo:hi]
 
 
 class _CovarianceEstimates(DecoupledGEstimates):
@@ -122,13 +126,11 @@ class _CovarianceEstimates(DecoupledGEstimates):
     def g_hat(self) -> np.ndarray:
         """ghat built on demand, bit for bit ``CovarianceKernel.cross_mean``
         minus ``vech(train_u)``."""
-        out = vech_outer_rows(self._d_t)
-        out += self._c[:, None]
-        out /= 2.0
-        out -= vech(self.train_u)[:, None]
-        return out.T
+        out = CovarianceKernel.mean_from_factors(self._d_t, self._c)
+        out -= vech(self.train_u)
+        return out
 
-    def blocks(self, e: np.ndarray):
+    def blocks(self, e: np.ndarray, schedule: list):
         # [e / 2 | row sums of e] @ [d_j * d_k | D_jk]^T folds the halving
         # and the constant D = C / 2 - U into the GEMM
         n = self.n
@@ -137,13 +139,19 @@ class _CovarianceEstimates(DecoupledGEstimates):
         a[:, n] = e.sum(axis=1)
         del e  # the caller passes its only reference, freed before the blocks
         const = self._c / 2.0 - vech(self.train_u)
-        schedule = _column_blocks(self.p, n)
-        buf = np.empty((max(hi - lo for *_, lo, hi in schedule), n + 1))
-        for k0, k1, lo, hi in schedule:
+        buf = np.empty((max(hi - lo for _, _, lo, hi, _ in schedule), n + 1))
+        for k0, k1, lo, hi, _ in schedule:
             rows = buf[: hi - lo]
             vech_outer_rows(self._d_t, k0, k1, rows[:, :n])
             rows[:, n] = const[lo:hi]
-            yield lo, a, rows.T
+            yield a, rows.T
+
+
+def check_level(alpha: float) -> None:
+    """Raise ValueError unless alpha and 1 - alpha both lie in (0, 1): for
+    alpha below about 1e-16, 1 - alpha rounds to 1 and has no rank."""
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
+        raise ValueError(f"alpha and 1 - alpha must lie in (0, 1), got {alpha!r}")
 
 
 def _rank(alpha: float, b: int) -> int:
@@ -183,10 +191,17 @@ class BootstrapDraws:
         """The centred maximum of U whose law these draws approximate."""
         return sup_stat(u, target, self.scaling, self.restriction)
 
+    def _count(self, statistic: float, side: str) -> int:
+        """Draws below (``left``) or at most (``right``) the statistic; a NaN
+        statistic, which would count as above every draw, raises."""
+        if math.isnan(statistic):
+            raise ValueError("the statistic is NaN")
+        return int(np.searchsorted(self.values, statistic, side))
+
     def covers(self, statistic: float, alphas: Iterable[float]) -> np.ndarray:
         """statistic <= quantile(self, alpha) per alpha: fewer than
         ``_rank(alpha, b)`` draws lie below the statistic."""
-        below, b = int(np.searchsorted(self.values, statistic, "left")), self.b
+        below, b = self._count(statistic, "left"), self.b
         return np.array([below < _rank(a, b) for a in alphas])
 
     def rejects(self, statistic: float, alphas: Iterable[float]) -> np.ndarray:
@@ -194,13 +209,12 @@ class BootstrapDraws:
         ``_rank(1 - alpha, b)`` draws lie at or below the statistic.  Counts
         decide, not ``p_value <= alpha``, which fails at b = 100 with 10 draws
         above and alpha = 1 - 0.9 = 0.09999999999999998."""
-        at_most, b = int(np.searchsorted(self.values, statistic, "right")), self.b
+        at_most, b = self._count(statistic, "right"), self.b
         return np.array([at_most >= _rank(1.0 - a, b) for a in alphas])
 
     def p_value(self, statistic: float) -> float:
         """The share of draws above the statistic."""
-        at_most = int(np.searchsorted(self.values, statistic, "right"))
-        return (self.b - at_most) / self.b
+        return (self.b - self._count(statistic, "right")) / self.b
 
 
 def split_sample(
@@ -266,17 +280,15 @@ def draw_bootstrap(
         raise ValueError("b must be >= 1")
     check_maximum(scaling, restriction, g.p)
     n = g.n
-    j, k = vech_pairs(g.p)
-    diag = j == k
-    out = np.empty((b, max(hi - lo for *_, lo, hi in _column_blocks(g.p, n))))
+    schedule = _column_blocks(g.p, n)
+    out = np.empty((b, max(hi - lo for _, _, lo, hi, _ in schedule)))
     values = np.full(b, -np.inf)
     e = substream(seed, *key).standard_normal((b, n))
-    blocks = g.blocks(e)
+    blocks = g.blocks(e, schedule)
     del e  # ``blocks`` may free the multipliers once it has what it needs
-    for lo, a, x in blocks:
-        width = x.shape[1]
-        s = np.matmul(a, x, out=out[:, :width])
-        block_max = entry_max(s, diag[lo : lo + width], scaling, restriction)
+    for (*_, diag), (a, x) in zip(schedule, blocks):
+        s = np.matmul(a, x, out=out[:, : x.shape[1]])
+        block_max = entry_max(s, diag, scaling, restriction)
         np.maximum(values, block_max, out=values)
     if not values.any():
         raise DegenerateBootstrapError(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "sample",
     "population_sigma",
     "kurtosis_kappa",
-    "model_from_config",
 ]
 
 CONTAMINATED = "contaminated_normal"
@@ -136,30 +134,3 @@ def kurtosis_kappa(model: EllipticalModel) -> float:
     if model.nu <= 4:
         raise ValueError("kurtosis undefined for t with nu <= 4")
     return 2.0 / (model.nu - 4.0)
-
-
-def model_from_config(cfg: dict[str, Any]) -> EllipticalModel:
-    """Build a model from its JSON description, the config's ``model`` dict."""
-    allowed = {"family", "nu", "v_kind", "p", "epsilon", "rho"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-    for req in ("family", "nu", "v_kind", "p"):
-        if req not in cfg:
-            raise ValueError(f"model config missing {req!r}")
-    # JSON true/false load as bool, a subclass of int
-    if isinstance(cfg["p"], bool) or not isinstance(cfg["p"], int):
-        raise ValueError(f"model p must be an integer, got {cfg['p']!r}")
-    for key in ("nu", "epsilon", "rho"):
-        value = cfg.get(key)
-        if (key == "nu" or value is not None) and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise ValueError(f"model {key} must be a number, got {value!r}")
-    v = build_v(cfg["v_kind"], cfg["p"], cfg.get("rho"))
-    return EllipticalModel(
-        family=cfg["family"],
-        v=v,
-        nu=float(cfg["nu"]),
-        epsilon=cfg.get("epsilon"),
-    )

@@ -27,8 +27,8 @@ def estimate_gamma_g(rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 2:
         raise ValueError("need an (n, m) array of vech rows with n >= 2")
-    centered = rows - rows.mean(axis=0)
-    return (centered.T @ centered) / (rows.shape[0] - 1)
+    m = rows.shape[1]
+    return np.cov(rows, rowvar=False).reshape(m, m)  # (1, 1) at m = 1, not 0-d
 
 
 def analytic_gamma_g_elliptical(sigma: np.ndarray, kappa: float) -> np.ndarray:

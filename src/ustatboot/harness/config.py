@@ -13,9 +13,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..distributions import model_from_config
+from ..bootstrap import check_level
+from ..distributions import EllipticalModel, build_v
 
-__all__ = ["ConfigError", "ExperimentConfig", "default_config", "load_config"]
+__all__ = [
+    "ConfigError",
+    "ExperimentConfig",
+    "default_config",
+    "load_config",
+    "model_from_config",
+]
 
 EXPERIMENT_NAMES = (
     "pp_plot",
@@ -33,23 +40,15 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-def _d1_model(p: int) -> dict[str, Any]:
+def _contaminated_model(p: int, v_kind: str, **extra: Any) -> dict[str, Any]:
+    """The default contaminated normal (epsilon 0.2, nu 1.5) at scale
+    ``v_kind`` with its ``extra`` parameters."""
     return {
         "family": "contaminated_normal",
         "epsilon": 0.2,
         "nu": 1.5,
-        "v_kind": "d1",
-        "p": p,
-    }
-
-
-def _banded_ar_model(p: int) -> dict[str, Any]:
-    return {
-        "family": "contaminated_normal",
-        "epsilon": 0.2,
-        "nu": 1.5,
-        "v_kind": "ar1",
-        "rho": 0.7,
+        "v_kind": v_kind,
+        **extra,
         "p": p,
     }
 
@@ -61,6 +60,34 @@ def _is_int(value: Any) -> bool:
 
 def _is_real(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def model_from_config(cfg: dict[str, Any]) -> EllipticalModel:
+    """Build a model from its JSON description, the config's ``model`` dict;
+    raises ConfigError."""
+    unknown = set(cfg) - {"family", "nu", "v_kind", "p", "epsilon", "rho"}
+    if unknown:
+        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+    for req in ("family", "nu", "v_kind", "p"):
+        if req not in cfg:
+            raise ConfigError(f"model config missing {req!r}")
+    if not isinstance(cfg["v_kind"], str):
+        raise ConfigError(f"model v_kind must be a string, got {cfg['v_kind']!r}")
+    if not _is_int(cfg["p"]):
+        raise ConfigError(f"model p must be an integer, got {cfg['p']!r}")
+    for key in ("nu", "epsilon", "rho"):
+        value = cfg.get(key)
+        if (key == "nu" or value is not None) and not _is_real(value):
+            raise ConfigError(f"model {key} must be a number, got {value!r}")
+    try:
+        return EllipticalModel(
+            family=cfg["family"],
+            v=build_v(cfg["v_kind"], cfg["p"], cfg.get("rho")),
+            nu=float(cfg["nu"]),
+            epsilon=cfg.get("epsilon"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid model: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -114,10 +141,11 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if not self.alpha_grid:
             raise ConfigError("alpha_grid must not be empty")
-        if not all(0.0 < a < 1.0 for a in self.alpha_grid):
-            raise ConfigError("alpha_grid values must lie in (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
+        for level in (self.alpha, *self.alpha_grid):
+            try:
+                check_level(level)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if not 0.0 < self.beta <= 1.0:
             raise ConfigError("beta must lie in (0, 1]")
         if any(n < 4 for n in self.n_grid):
@@ -128,10 +156,7 @@ class ExperimentConfig:
             raise ConfigError("m_bound must be finite and > 0")
         if not 0.0 < self.tau_delta_const < math.inf:
             raise ConfigError("tau_delta_const must be finite and > 0")
-        try:
-            model = model_from_config(self.model)
-        except ValueError as exc:
-            raise ConfigError(f"invalid model: {exc}") from exc
+        model = model_from_config(self.model)
         if model.p != self.p:
             raise ConfigError(f"model p={model.p} does not match config p={self.p}")
 
@@ -147,38 +172,33 @@ class ExperimentConfig:
 
 def default_config(experiment: str) -> ExperimentConfig:
     """Canonical defaults for each experiment, sized for desk runtime."""
-    if experiment not in EXPERIMENT_NAMES:
-        raise ConfigError(
-            f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_NAMES}"
-        )
-    if experiment in ("pp_plot", "coverage"):
-        return ExperimentConfig(experiment=experiment, model=_d1_model(40))
+    if experiment in ("pp_plot", "coverage", "test_size"):
+        model = _contaminated_model(40, "d1")
+        return ExperimentConfig(experiment=experiment, model=model)
     if experiment == "naive_vs_hajek":
         model = {"family": "elliptic_t", "nu": 8.0, "v_kind": "d1", "p": 40}
         return ExperimentConfig(experiment=experiment, model=model)
     if experiment == "threshold_eval":
         return ExperimentConfig(
             experiment=experiment,
-            model=_banded_ar_model(40),
+            model=_contaminated_model(40, "ar1", rho=0.7),
             replications=500,
         )
-    if experiment == "test_size":
-        return ExperimentConfig(experiment=experiment, model=_d1_model(40))
     if experiment in ("clime_eval", "linfun_eval"):
         # lambda* = M a(1 - alpha) with a of order n^{-1/2}: n = 1000 keeps
         # lambda* below 1, where theta = 0 is infeasible (at n = 100 every
         # estimate is the all-zero one)
         return ExperimentConfig(
             experiment=experiment,
-            model=_banded_ar_model(20),
+            model=_contaminated_model(20, "ar1", rho=0.7),
             p=20,
             n=1000,
             replications=50,
         )
-    # maximal_ineq_scaling
+    # maximal_ineq_scaling (the constructor rejects any other name)
     return ExperimentConfig(
         experiment=experiment,
-        model=_d1_model(10),
+        model=_contaminated_model(10, "d1"),
         p=10,
         replications=200,
     )

@@ -10,7 +10,7 @@ binds it to the replication function with ``functools.partial``.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable
 
@@ -203,12 +203,7 @@ def banded_model(cfg: ExperimentConfig) -> tuple[EllipticalModel, np.ndarray, in
     gamma /= gamma[0]
     dist = np.abs(np.subtract.outer(np.arange(cfg.p), np.arange(cfg.p)))
     v = np.where(dist <= k0, gamma[np.minimum(dist, k0)], 0.0)
-    banded = EllipticalModel(
-        family=model.family,
-        v=v,
-        nu=model.nu,
-        epsilon=model.epsilon,
-    )
+    banded = replace(model, v=v)
     sigma = population_sigma(banded)
     zeta_p = int(np.max(np.sum(sigma != 0.0, axis=0)))
     return banded, sigma, zeta_p
@@ -314,12 +309,7 @@ def run_test_size(cfg: ExperimentConfig) -> ExperimentResult:
     model = cfg.build_model()
     # identity scale matrix, same family: the population tau matrix has zero
     # off-diagonal for any elliptical law
-    ind_model = EllipticalModel(
-        family=model.family,
-        v=np.eye(cfg.p),
-        nu=model.nu,
-        epsilon=model.epsilon,
-    )
+    ind_model = replace(model, v=np.eye(cfg.p))
     rep = partial(_test_size_rep, cfg, model, population_sigma(model), ind_model)
     res = np.vstack(_map_reps(rep, cfg, cfg.replications))
     k = len(cfg.alpha_grid)

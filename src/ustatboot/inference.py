@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import bootstrap_halves, quantile
+from .bootstrap import bootstrap_halves, check_level, quantile
 from .kernels import CovarianceKernel, Kernel, KendallKernel
 from .matstat import as_sym
 from .rngutil import SeedLike
@@ -39,8 +39,7 @@ def _run_test(
     key: tuple[int, ...],
     restriction: str,
 ) -> TestResult:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    check_level(alpha)
     u, draws = bootstrap_halves(
         data, kernel, b, "applications", restriction, seed, *key, 0
     )

@@ -150,14 +150,19 @@ class CovarianceKernel(Kernel):
         d_t = np.subtract(xs.T, ybar[:, None], order="C")
         return d_t, vech((cy.T @ cy) / ys.shape[0])
 
-    def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def mean_from_factors(d_t: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """``cross_mean`` from its factors (d^T, vech(C)) of
+        ``cross_factors``: a new (n_x, p(p+1)/2) array."""
         # vech row (j, k) of the transposed result is d_j * d_k over the rows
         # of xs: one product per vech position, no (n_x, p, p) array
-        d_t, c = self.cross_factors(xs, ys)
         out = vech_outer_rows(d_t)
         out += c[:, None]
         out /= 2.0
         return out.T
+
+    def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return self.mean_from_factors(*self.cross_factors(xs, ys))
 
 
 class KendallKernel(Kernel):

@@ -95,8 +95,8 @@ def sup_stat(
         raise ValueError(f"shape mismatch: {u.u.shape} vs {target.shape}")
     p = target.shape[0]
     check_maximum(scaling, restriction, p)
-    if not np.isfinite(target).all():
-        raise ValueError("target must be finite")
+    if not (np.isfinite(target).all() and np.isfinite(u.u).all()):
+        raise ValueError("U and the target must be finite")
     # every (p+1)-th entry of the raveled p x p difference is diagonal
     diff = (u.u - target).reshape(1, -1)
     value = entry_max(diff, slice(None, None, p + 1), scaling, restriction)[0]

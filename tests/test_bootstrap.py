@@ -436,6 +436,32 @@ def test_rejects_counts_draws_not_p_value_at_one_minus_point_nine():
     assert draws.rejects(89.5, [alpha]).tolist() == [False]
 
 
+# each decision at -inf and +inf, statistics below and above every draw
+_AT_INFINITIES = {
+    "covers": ([True], [False]),
+    "rejects": ([False], [True]),
+    "p_value": (1.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("method", list(_AT_INFINITIES))
+def test_nan_statistic_raises(method):
+    # searchsorted places NaN past every draw, which read as not covered,
+    # rejected and a p-value of 0; +-inf stay valid statistics
+    draws = BootstrapDraws(
+        values=np.arange(1.0, 21.0), scaling="applications", restriction="all"
+    )
+    alphas = () if method == "p_value" else ([0.05],)
+
+    def decide(stat):
+        got = getattr(draws, method)(stat, *alphas)
+        return got if method == "p_value" else got.tolist()
+
+    with pytest.raises(ValueError, match="NaN"):
+        decide(float("nan"))
+    assert (decide(-np.inf), decide(np.inf)) == _AT_INFINITIES[method]
+
+
 @given(
     st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
     st.floats(0.01, 0.99),

@@ -10,10 +10,10 @@ from ustatboot.distributions import (
     contaminated_normal,
     elliptic_t,
     kurtosis_kappa,
-    model_from_config,
     population_sigma,
     sample,
 )
+from ustatboot.harness.config import model_from_config
 from ustatboot.matstat import NotPositiveDefiniteError, cholesky
 from ustatboot.rngutil import substream
 

@@ -248,6 +248,9 @@ def test_cli_config_error_exit_code(tmp_path):
         ("linfun_eval", {"m_bound": float("inf")}),
         ("coverage", {"alpha_grid": [0.05, True]}),
         ("coverage", {"alpha_grid": ["0.05"]}),
+        # 1 - 1e-17 rounds to 1.0, which has no upper quantile rank
+        ("threshold_eval", {"alpha": 1e-17}),
+        ("test_size", {"alpha_grid": [1e-17, 0.05]}),
     ],
 )
 def test_cli_degenerate_config_exit_code(tmp_path, name, over):
@@ -265,6 +268,7 @@ def test_cli_degenerate_config_exit_code(tmp_path, name, over):
         ("nu", [True, "1.5", None, float("nan"), float("inf")]),
         ("epsilon", [False, "0.2"]),
         ("rho", [True, "0.7"]),
+        ("v_kind", [5, None]),
     ],
 )
 def test_cli_nested_model_field_exit_code(tmp_path, field, values):

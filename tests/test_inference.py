@@ -10,6 +10,7 @@ from ustatboot.bootstrap import (
     quantile,
     split_sample,
 )
+from ustatboot import inference
 from ustatboot.distributions import build_v, contaminated_normal, population_sigma, sample
 from ustatboot.inference import (
     test_covariance as covariance_test,
@@ -135,10 +136,14 @@ def test_ustat_mean_custom_restriction(m1_data):
     assert res_off.statistic <= res.statistic + 1e-12
 
 
-def test_alpha_validation(m1_data):
+def test_alpha_validation(m1_data, monkeypatch):
     _, data = m1_data
     with pytest.raises(ValueError):
         covariance_test(data, np.eye(8), 0.0)
+    # 1 - 1e-17 rounds to 1.0: the level fails before any bootstrap runs
+    monkeypatch.setattr(inference, "bootstrap_halves", None)
+    with pytest.raises(ValueError, match="1 - alpha must lie in"):
+        covariance_test(data, np.eye(8), 1e-17)
 
 
 @pytest.mark.parametrize("run_test", [covariance_test, kendall_test])

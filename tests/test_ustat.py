@@ -111,6 +111,15 @@ def test_sup_stat_variants():
         sup_stat(UStatResult(u=u, n=16), np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sup_stat_rejects_a_non_finite_u(bad):
+    # a NaN entry would otherwise make the statistic NaN
+    u = np.zeros((2, 2))
+    u[0, 1] = u[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sup_stat(UStatResult(u=u, n=16), np.zeros((2, 2)))
+
+
 def test_sup_stat_from_result():
     rng = np.random.default_rng(4)
     data = rng.standard_normal((9, 2))
