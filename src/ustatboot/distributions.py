@@ -61,6 +61,12 @@ class EllipticalModel:
                 raise ValueError("elliptic t needs nu > 4")
         else:
             raise ValueError(f"unknown family {self.family!r}")
+        try:  # a huge contamination scale overflows nu^2 or nu^4
+            sigma, kappa = population_sigma(self), kurtosis_kappa(self)
+        except OverflowError:
+            sigma = kappa = np.inf
+        if not (np.isfinite(kappa) and np.isfinite(sigma).all()):
+            raise ValueError(f"nu = {self.nu} overflows the covariance or kurtosis")
 
     @property
     def p(self) -> int:

@@ -57,12 +57,13 @@ def _map_reps(
     rep: Callable[[int], Any], cfg: ExperimentConfig, count: int
 ) -> list[Any]:
     """Run replications rep(0), ..., rep(count - 1) in index order,
-    optionally across a process pool (``rep``, a partial holding the run's
-    invariants, is pickled for the workers)."""
-    if cfg.workers <= 1:
+    optionally across a pool of at most ``count`` processes (``rep``, a
+    partial holding the run's invariants, is pickled for the workers)."""
+    workers = min(cfg.workers, count)
+    if workers <= 1:
         return [rep(r) for r in range(count)]
-    chunk = max(1, count // (cfg.workers * 8))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    chunk = max(1, count // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(rep, range(count), chunksize=chunk))
 
 

@@ -24,11 +24,17 @@ h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
 stacked sign rows S.  Where neither coordinate ties (almost surely for
 continuous laws), s_m s_k + 1 = 2 * 1{s_m s_k > 0}, the concordance kernel
 of the paper; for every law, ties included, E h = tau_a + 1 with tau_a
-Kendall's tau-a matrix.  S holds values in {-1, 0, 1} and is stored as
-float32; every partial sum of its products is an integer, and float32 holds
-integers exactly up to 2^24, so each block product is exact (size bounds at
-``_KENDALL_BLOCK``).  Blocks accumulate in float64, and results are
-bit-identical to the pair loop of :class:`Kernel`.
+Kendall's tau-a matrix.  Only ranks enter: each call codes every column
+once by dense rank (equal values, -0.0 and 0.0 included, share a code;
+``cross_mean`` codes both samples together), as int16 below 2^15 rows, where
+every code difference fits, and int32 from there.  Each block of
+``_KENDALL_BLOCK`` (16) rows of S is built as code differences in one reused
+integer buffer, signed in place and cast into one reused float32 buffer.
+Every partial sum of S's products is an integer, exact in float32 up to
+2^24: a ``cross_mean`` entry sums n_y signs and a ``u_stat`` block at most
+16 n, so products are exact for n_y <= 2^24 and n <= 2^20.  Pair counts are
+added and blocks accumulate in float64, so results are bit-identical to the
+pair loop of :class:`Kernel`.
 """
 
 from __future__ import annotations
@@ -47,12 +53,11 @@ __all__ = [
     "check_data",
 ]
 
-# rows of the first sample per block of Kendall sign products (32 keeps a
-# block's sign matrices in L2 cache at n = 200, p = 40).  A float32 product
-# entry sums the signs of one row's n_y pairs (cross_mean) or of at most
-# _KENDALL_BLOCK * n pairs (u_stat); the sum is exact below 2^24 terms, so
-# for n_y < 2^24 and n < 2^19.
-_KENDALL_BLOCK = 32
+# rows of the first sample per block of Kendall sign products: at n = 200,
+# p = 40 a block's int16 differences and float32 signs take 0.77 MB, and
+# 32-row blocks made cross_mean about 2x slower on a 2 MB-L2 x86 core; size
+# bounds in the module docstring
+_KENDALL_BLOCK = 16
 
 
 def check_data(data: np.ndarray, min_rows: int = 2) -> np.ndarray:
@@ -83,12 +88,34 @@ def _check_samples(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return xs, ys
 
 
-def _signs(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """float32 sign(x_i - y_j) as an (n_x, n_y, p) array, by comparison."""
-    x, y = xs[:, None, :], ys[None, :, :]
-    s = np.empty((xs.shape[0], ys.shape[0], xs.shape[1]), dtype=np.float32)
-    np.greater(x, y, out=s)
-    s -= np.less(x, y)
+def _rank_codes(data: np.ndarray) -> np.ndarray:
+    """Per-column dense rank codes of an (n, p) array as an (n, p) int16 array
+    (int32 from 2^15 rows): equal values share a code, so code differences
+    have the signs of the data's differences."""
+    # the flat positions in data of each column's values, in ascending order
+    order = np.argsort(data.T) * data.shape[1] + np.arange(data.shape[1])[:, None]
+    ranked = data.take(order)
+    steps = np.zeros(order.shape, np.int16 if data.shape[0] < 2**15 else np.int32)
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=steps[:, 1:])
+    codes = np.empty(data.shape, steps.dtype)
+    np.put(codes, order, np.cumsum(steps, axis=1, out=steps))
+    return codes
+
+
+def _sign_block(
+    d_buf: np.ndarray, s_buf: np.ndarray, x: np.ndarray, y: np.ndarray, upper=None
+) -> np.ndarray:
+    """float32 sign(x_i - y_j) of rank codes as an (n_x, n_y, p) view of
+    ``s_buf``, via the code differences in ``d_buf``; with ``upper`` the
+    pairs j <= i are zeroed first."""
+    b = len(x)
+    d = d_buf[: b * y.size].reshape(b, *y.shape)
+    np.subtract(x[:, None], y[None], out=d)
+    if upper is not None:
+        d[:, :b] *= upper[:b, :b]
+    np.sign(d, out=d)
+    s = s_buf[: d.size].reshape(d.shape)
+    np.copyto(s, d)
     return s
 
 
@@ -180,35 +207,45 @@ class KendallKernel(Kernel):
         return np.outer(s, s) + 1.0
 
     def u_stat(self, data: np.ndarray) -> np.ndarray:
-        # unordered pairs i < j only: block rows against every later row,
-        # with the block's own pairs j <= i zeroed out of the sign matrix;
-        # the "+ 1" of every pair starts the sum
+        # unordered pairs i < j only: a block of rows against itself and every
+        # later row in one product, its own pairs j <= i masked to 0; the
+        # "+ 1" of every pair starts the sum
         data = check_data(data)
         n, p = data.shape
         pairs = n * (n - 1) / 2
         acc = np.full((p, p), pairs)
+        codes = _rank_codes(data)
+        upper = np.triu(np.ones((_KENDALL_BLOCK,) * 2, codes.dtype), 1)[:, :, None]
+        d_buf = np.empty(min(n, _KENDALL_BLOCK) * n * p, codes.dtype)
+        s_buf = np.empty(d_buf.size, np.float32)
         for start in range(0, n, _KENDALL_BLOCK):
-            block = data[start : start + _KENDALL_BLOCK]
-            s = _signs(block, data[start:])
-            s[np.tril(np.ones(s.shape[:2], dtype=bool))] = 0.0
-            s = s.reshape(-1, p)
+            block = codes[start : start + _KENDALL_BLOCK]
+            s = _sign_block(d_buf, s_buf, block, codes[start:], upper).reshape(-1, p)
             acc += s.T @ s
         return acc / pairs
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        # each block's p x p products are half-vectorized straight into the
-        # output rows, which get the "+ 1" of their n_y pairs while the block
-        # is still in cache
+        # xs and ys are coded together, so a tie across the samples shares a
+        # code; one take half-vectorizes each block's p x p products, and the
+        # "+ 1" of their n_y pairs is added on the way into the output rows
         xs, ys = _check_samples(xs, ys)
         n_x, p = xs.shape
         n_y = ys.shape[0]
-        rows, cols = vech_pairs(p)
-        out = np.empty((n_x, rows.size))
+        codes = _rank_codes(np.concatenate((xs, ys)))
+        at = np.ravel_multi_index(vech_pairs(p), (p, p))
+        block = min(n_x, _KENDALL_BLOCK)
+        d_buf = np.empty(block * n_y * p, codes.dtype)
+        s_buf = np.empty(d_buf.size, np.float32)
+        prod = np.empty((block, p, p), np.float32)
+        vech_buf = np.empty((block, at.size), np.float32)
+        out = np.empty((n_x, at.size))
         for start in range(0, n_x, _KENDALL_BLOCK):
-            s = _signs(xs[start : start + _KENDALL_BLOCK], ys)
-            block = out[start : start + _KENDALL_BLOCK]
-            block[...] = np.matmul(s.transpose(0, 2, 1), s)[:, rows, cols]
-            block += n_y
+            stop = min(start + _KENDALL_BLOCK, n_x)
+            s = _sign_block(d_buf, s_buf, codes[start:stop], codes[n_x:])
+            b = len(s)
+            np.matmul(s.transpose(0, 2, 1), s, out=prod[:b])
+            np.take(prod[:b].reshape(b, -1), at, axis=1, out=vech_buf[:b], mode="clip")
+            np.add(vech_buf[:b], n_y, out=out[start:stop], dtype=np.float64)
         out /= n_y
         return out
 

@@ -124,6 +124,38 @@ def test_worker_count_does_not_change_results(name):
     assert repr(parallel.summary) == repr(serial.summary)
 
 
+@pytest.mark.parametrize(
+    "workers, replications, expected", [(10_000, 3, [3]), (2, 3, [2]), (10_000, 1, [])]
+)
+def test_worker_pool_is_capped_at_the_replication_count(
+    monkeypatch, workers, replications, expected
+):
+    # an in-process stand-in for the pool records its size; no process starts
+    import ustatboot.harness.experiments as experiments_mod
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments_mod, "ProcessPoolExecutor", RecordingPool)
+    cfg = small("threshold_eval", replications=replications)
+    pooled = run_experiment(dataclasses.replace(cfg, workers=workers))
+    assert sizes == expected
+    assert repr(pooled) == repr(run_experiment(cfg))
+
+
 def test_coverage_replication_follows_stream_layout():
     # replication r samples on (tag, r, 0), splits on (tag, r, 1) and draws
     # on (tag, r, 2), with the experiment's index as its tag
@@ -265,7 +297,7 @@ def test_cli_degenerate_config_exit_code(tmp_path, name, over):
     "field, values",
     [
         ("p", [6.5, 6.0, "6", True]),
-        ("nu", [True, "1.5", None, float("nan"), float("inf")]),
+        ("nu", [True, "1.5", None, float("nan"), float("inf"), 1e200]),
         ("epsilon", [False, "0.2"]),
         ("rho", [True, "0.7"]),
         ("v_kind", [5, None]),

@@ -120,6 +120,54 @@ def test_kendall_u_stat_block_boundary():
     np.testing.assert_allclose(k.u_stat(data), pair_loop_u_stat(k, data), atol=1e-12)
 
 
+def _dense_ranks(data):
+    """Per-column dense ranks, equal values sharing one, as float64."""
+    return np.column_stack(
+        [np.unique(col, return_inverse=True)[1] for col in data.T]
+    ).astype(np.float64)
+
+
+@pytest.mark.parametrize("ties", _TIES)
+@pytest.mark.parametrize(
+    "n_x, n_y, p",
+    [(1, 1, 1), (_KENDALL_BLOCK + 1, 9, 3), (2 * _KENDALL_BLOCK + 3, 20, 4)],
+)
+def test_kendall_sees_only_rank_codes(n_x, n_y, p, ties):
+    # rank codes (of xs and ys together) and a doubling keep every sign, so
+    # both batched operations give the same bits
+    rng = np.random.default_rng(n_x + 10 * p)
+    xs = _kendall_sample(rng, (n_x, p), ties)
+    ys = _kendall_sample(rng, (n_y, p), ties)
+    _share_one_value(xs, ys, ties)
+    data = np.concatenate((xs, ys))
+    codes = _dense_ranks(data)
+    k = KendallKernel()
+    u, cross = k.u_stat(data), k.cross_mean(xs, ys)
+    for x, y in ((codes[:n_x], codes[n_x:]), (2 * xs, 2 * ys)):
+        assert k.u_stat(np.concatenate((x, y))).tobytes() == u.tobytes()
+        assert k.cross_mean(x, y).tobytes() == cross.tobytes()
+
+
+def test_kendall_negative_zero_ties_with_zero():
+    data = np.array([[-0.0, 1.0], [0.0, 2.0]])
+    tie = np.array([[1.0, 1.0], [1.0, 2.0]])  # s = (0, -1)
+    k = KendallKernel()
+    np.testing.assert_array_equal(k.u_stat(data), tie)
+    np.testing.assert_array_equal(k.cross_mean(data[:1], data[1:]), vech(tie)[None])
+    np.testing.assert_array_equal(k.u_stat(data), pair_loop_u_stat(k, data))
+
+
+def test_kendall_cross_mean_past_int16_codes():
+    # 2^15 + 2 distinct values per column, xs the least of its column 0 and
+    # the greatest of column 1: code differences reach 2^15 + 1
+    rng = np.random.default_rng(6)
+    ys = rng.standard_normal((2**15 + 1, 2))
+    xs = np.array([[ys[:, 0].min() - 1.0, ys[:, 1].max() + 1.0]])
+    s = np.sign(xs - ys)
+    expected = vech((s.T @ s + ys.shape[0]) / ys.shape[0])
+    np.testing.assert_array_equal(KendallKernel().cross_mean(xs, ys), expected[None])
+
+
 @given(st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=30, deadline=None)
 def test_kernel_symmetry(seed):
