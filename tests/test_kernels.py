@@ -68,7 +68,9 @@ def _share_one_value(a, b, ties):
 @pytest.mark.parametrize("ties", _TIES)
 @pytest.mark.parametrize(
     "n_x, n_y, p",
-    [(1, 1, 1), (5, 3, 4), (_KENDALL_BLOCK + 1, 17, 3), (2 * _KENDALL_BLOCK + 3, 11, 2),
+    # fixed sizes past several block edges, then sizes relative to the block
+    [(1, 1, 1), (5, 3, 4), (33, 17, 3), (67, 11, 2), (69, 23, 7),
+     (_KENDALL_BLOCK + 1, 17, 3), (2 * _KENDALL_BLOCK + 3, 11, 2),
      (2 * _KENDALL_BLOCK + 5, 23, 7)],
 )
 def test_kendall_cross_mean_equals_pair_loop_exactly(n_x, n_y, p, ties):
@@ -82,8 +84,8 @@ def test_kendall_cross_mean_equals_pair_loop_exactly(n_x, n_y, p, ties):
 
 @pytest.mark.parametrize("ties", _TIES)
 @pytest.mark.parametrize(
-    "n, p", [(2, 1), (7, 4), (_KENDALL_BLOCK, 3), (2 * _KENDALL_BLOCK + 3, 3),
-             (_KENDALL_BLOCK + 9, 6)]
+    "n, p", [(2, 1), (7, 4), (32, 3), (67, 3), (41, 6), (_KENDALL_BLOCK, 3),
+             (2 * _KENDALL_BLOCK + 3, 3), (_KENDALL_BLOCK + 9, 6)]
 )
 def test_kendall_u_stat_equals_pair_loop_exactly(n, p, ties):
     rng = np.random.default_rng(n)
