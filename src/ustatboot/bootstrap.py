@@ -14,7 +14,10 @@ max |.|.  For the covariance kernel, column (j, k) of ghat is
 d_j * d_k / 2 + D_jk with d = main - mean(train) and D = C / 2 - U(train),
 so the estimates keep only d^T and vech(C) and build each block when it is
 asked for, in one reused buffer; every other kernel's ghat is materialized
-and handed out in slices.
+and handed out in slices.  The (B, n) multipliers and every work array of a
+draw come from the per-thread pool of ``kernels._work_array``, so repeated
+draws at one shape allocate none of them; what a draw returns is always a
+new array.
 
 Two scalings of the multiplier statistic are implemented, each paired with
 the centred maximum of ``ustat.sup_stat`` whose law it approximates:
@@ -36,7 +39,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernels import CovarianceKernel, Kernel, check_data
+from .kernels import CovarianceKernel, Kernel, _work_array, check_data
 from .matstat import vech, vech_outer_rows
 from .rngutil import SeedLike, substream
 from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
@@ -59,10 +62,11 @@ __all__ = [
 _BLOCK_SIZE = 2**16
 
 
-def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int, list[int]]]:
+def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int, np.ndarray]]:
     """(k0, k1, lo, hi, diag) per block of a ghat with n rows: matrix columns
     k0..k1-1, which fill the vech positions lo..hi-1, and the block offsets
-    of their diagonal entries (k, k), each the first of its column."""
+    of their diagonal entries (k, k), each the first of its column, as an
+    ``np.intp`` index array."""
     blocks = []
     k0 = lo = 0
     while k0 < p:
@@ -71,7 +75,7 @@ def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int, list[int]]]
             diag.append(hi - lo)
             hi += p - k1
             k1 += 1
-        blocks.append((k0, k1, lo, hi, diag))
+        blocks.append((k0, k1, lo, hi, np.array(diag, np.intp)))
         k0, lo = k1, hi
     return blocks
 
@@ -105,8 +109,8 @@ class DecoupledGEstimates:
     def blocks(self, e: np.ndarray, schedule: list):
         """Yield (a, x) per block (k0, k1, lo, hi, diag) of the
         ``_column_blocks`` schedule, with a @ x = e @ g_hat[:, lo:hi] for the
-        (b, n) multipliers e.  Each x is valid until the next block is asked
-        for."""
+        (b, n) multipliers e.  Each a and x is valid until the next block is
+        asked for."""
         for _, _, lo, hi, _ in schedule:
             yield e, self.g_hat[:, lo:hi]
 
@@ -134,12 +138,12 @@ class _CovarianceEstimates(DecoupledGEstimates):
         # [e / 2 | row sums of e] @ [d_j * d_k | D_jk]^T folds the halving
         # and the constant D = C / 2 - U into the GEMM
         n = self.n
-        a = np.empty((e.shape[0], n + 1))
+        a = _work_array("bootstrap.operand", (e.shape[0], n + 1))
         np.multiply(e, 0.5, out=a[:, :n])
         a[:, n] = e.sum(axis=1)
-        del e  # the caller passes its only reference, freed before the blocks
         const = self._c / 2.0 - vech(self.train_u)
-        buf = np.empty((max(hi - lo for _, _, lo, hi, _ in schedule), n + 1))
+        width = max(hi - lo for _, _, lo, hi, _ in schedule)
+        buf = _work_array("bootstrap.block", (width, n + 1))
         for k0, k1, lo, hi, _ in schedule:
             rows = buf[: hi - lo]
             vech_outer_rows(self._d_t, k0, k1, rows[:, :n])
@@ -281,12 +285,12 @@ def draw_bootstrap(
     check_maximum(scaling, restriction, g.p)
     n = g.n
     schedule = _column_blocks(g.p, n)
-    out = np.empty((b, max(hi - lo for _, _, lo, hi, _ in schedule)))
+    width = max(hi - lo for _, _, lo, hi, _ in schedule)
+    out = _work_array("bootstrap.product", (b, width))
     values = np.full(b, -np.inf)
-    e = substream(seed, *key).standard_normal((b, n))
-    blocks = g.blocks(e, schedule)
-    del e  # ``blocks`` may free the multipliers once it has what it needs
-    for (*_, diag), (a, x) in zip(schedule, blocks):
+    e = _work_array("bootstrap.multipliers", (b, n))
+    substream(seed, *key).standard_normal(out=e)
+    for (*_, diag), (a, x) in zip(schedule, g.blocks(e, schedule)):
         s = np.matmul(a, x, out=out[:, : x.shape[1]])
         block_max = entry_max(s, diag, scaling, restriction)
         np.maximum(values, block_max, out=values)

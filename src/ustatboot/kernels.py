@@ -28,8 +28,10 @@ Kendall's tau-a matrix.  Only ranks enter: each call codes every column
 once by dense rank (equal values, -0.0 and 0.0 included, share a code;
 ``cross_mean`` codes both samples together), as int16 below 2^15 rows, where
 every code difference fits, and int32 from there.  Each block of
-``_KENDALL_BLOCK`` (16) rows of S is built as code differences in one reused
-integer buffer, signed in place and cast into one reused float32 buffer.
+``_KENDALL_BLOCK`` (16) rows of S is built as code differences in one
+integer work array, signed in place and cast into one float32 work array;
+these, the block products and their vech take come from the per-thread pool
+of ``_work_array``, so repeated calls at one shape allocate none of them.
 Every partial sum of S's products is an integer, exact in float32 up to
 2^24: a ``cross_mean`` entry sums n_y signs and a ``u_stat`` block at most
 16 n, so products are exact for n_y <= 2^24 and n <= 2^20.  Pair counts are
@@ -39,6 +41,7 @@ pair loop of :class:`Kernel`.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -58,6 +61,29 @@ __all__ = [
 # 32-row blocks made cross_mean about 2x slower on a 2 MB-L2 x86 core; size
 # bounds in the module docstring
 _KENDALL_BLOCK = 16
+
+# bytes (2^20 doubles) of the largest work array the pool keeps
+_POOL_BYTES = 2**23
+
+_pool = threading.local()
+
+
+def _work_array(role: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialized work array for ``role`` from this thread's pool.
+
+    The pool keeps one array per role and replaces it when the role's shape
+    or dtype changes, so repeated calls at one shape reuse pages that are
+    already mapped instead of faulting in fresh ones.  An array above
+    ``_POOL_BYTES`` is allocated fresh and not kept.  The caller must
+    overwrite what it reads, never return the array or a view of it, and
+    not ask for the same role while it still uses the array."""
+    pool = vars(_pool)
+    a = pool.get(role)
+    if a is None or a.shape != shape or a.dtype != dtype:
+        a = np.empty(shape, dtype)
+        if a.nbytes <= _POOL_BYTES:
+            pool[role] = a
+    return a
 
 
 def check_data(data: np.ndarray, min_rows: int = 2) -> np.ndarray:
@@ -216,8 +242,9 @@ class KendallKernel(Kernel):
         acc = np.full((p, p), pairs)
         codes = _rank_codes(data)
         upper = np.triu(np.ones((_KENDALL_BLOCK,) * 2, codes.dtype), 1)[:, :, None]
-        d_buf = np.empty(min(n, _KENDALL_BLOCK) * n * p, codes.dtype)
-        s_buf = np.empty(d_buf.size, np.float32)
+        rows = min(n, _KENDALL_BLOCK)
+        d_buf = _work_array("kendall.diff", (rows * n * p,), codes.dtype)
+        s_buf = _work_array("kendall.sign", d_buf.shape, np.float32)
         for start in range(0, n, _KENDALL_BLOCK):
             block = codes[start : start + _KENDALL_BLOCK]
             s = _sign_block(d_buf, s_buf, block, codes[start:], upper).reshape(-1, p)
@@ -234,10 +261,10 @@ class KendallKernel(Kernel):
         codes = _rank_codes(np.concatenate((xs, ys)))
         at = np.ravel_multi_index(vech_pairs(p), (p, p))
         block = min(n_x, _KENDALL_BLOCK)
-        d_buf = np.empty(block * n_y * p, codes.dtype)
-        s_buf = np.empty(d_buf.size, np.float32)
-        prod = np.empty((block, p, p), np.float32)
-        vech_buf = np.empty((block, at.size), np.float32)
+        d_buf = _work_array("kendall.diff", (block * n_y * p,), codes.dtype)
+        s_buf = _work_array("kendall.sign", d_buf.shape, np.float32)
+        prod = _work_array("kendall.prod", (block, p, p), np.float32)
+        vech_buf = _work_array("kendall.vech", (block, at.size), np.float32)
         out = np.empty((n_x, at.size))
         for start in range(0, n_x, _KENDALL_BLOCK):
             stop = min(start + _KENDALL_BLOCK, n_x)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ustatboot import kernels
 from ustatboot.bootstrap import (
     BootstrapDraws,
     DecoupledGEstimates,
@@ -307,6 +310,95 @@ def test_covariance_bootstrap_peak_memory_is_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20, peak
+
+
+def _pooled_arrays():
+    return list(vars(kernels._pool).values())
+
+
+@pytest.mark.parametrize("kernel", [CovarianceKernel(), KendallKernel()])
+def test_draws_never_alias_the_pool(kernel):
+    # the second draw of the same shapes reuses every work array of the
+    # first, so an escaping view of one would change under the caller
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((2, 60, 6))
+    first_g = estimate_g_decoupled(*data, kernel)
+    first = draw_bootstrap(first_g, 40, "applications", "offdiag", 1)
+    kept, kept_g = first.values.copy(), first_g.g_hat.copy()
+    second_g = estimate_g_decoupled(*data + 1.0, kernel)
+    second = draw_bootstrap(second_g, 40, "applications", "offdiag", 2)
+    np.testing.assert_array_equal(first.values, kept)
+    np.testing.assert_array_equal(first_g.g_hat, kept_g)
+    pooled = _pooled_arrays()
+    assert len(pooled) >= 3
+    for out in (first.values, second.values, first_g.g_hat, second_g.g_hat):
+        assert not any(np.shares_memory(out, a) for a in pooled)
+
+
+def test_repeated_covariance_draw_allocates_no_work_arrays():
+    # at n = 1000, B = 200 the multipliers and [e/2 | row sums] are 1.6 MB
+    # each; a second draw of the same shapes takes both, the block buffer
+    # and the product buffer from the pool
+    n, p, b = 1000, 20, 200
+    g = estimate_g_decoupled(
+        *np.random.default_rng(3).standard_normal((2, n, p)), CovarianceKernel()
+    )
+    first = draw_bootstrap(g, b, "applications", "offdiag", 4)
+    tracemalloc.start()
+    try:
+        second = draw_bootstrap(g, b, "applications", "offdiag", 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(first.values, second.values)
+    assert peak < 2**19, peak
+
+
+def test_concurrent_draws_match_serial_draws():
+    # more threads than cores, each with its own key, estimating and drawing
+    # at once; every thread's pool is its own, so each result is its serial
+    # draw bit for bit
+    data = np.random.default_rng(9).standard_normal((120, 8))
+    jobs = [CovarianceKernel(), KendallKernel()] * 3
+
+    def run(key):
+        u, draws = bootstrap_halves(data, jobs[key], 50, "raw", "offdiag", 6, key, 0)
+        return u.u.tobytes(), draws.values.tobytes()
+
+    serial = [run(key) for key in range(len(jobs))]
+    results = [[] for _ in jobs]
+
+    def worker(key):
+        for _ in range(5):
+            results[key].append(run(key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, results):
+        assert got == [want] * 5
+
+
+def test_pool_keeps_nothing_above_its_cap():
+    # (B, n) multipliers of 8.8 MB, and [e/2 | row sums] as large, exceed
+    # the cap: they are allocated for this draw and dropped
+    n, b = 1000, 1100
+    assert b * n * 8 > kernels._POOL_BYTES
+    g = estimate_g_decoupled(
+        *np.random.default_rng(1).standard_normal((2, n, 2)), CovarianceKernel()
+    )
+    big = draw_bootstrap(g, b, "applications", "all", 2)
+    assert all(a.nbytes <= kernels._POOL_BYTES for a in _pooled_arrays())
+    want = _unblocked_draws(g, b, "applications", "all", 2)
+    np.testing.assert_allclose(big.values, want, rtol=1e-12, atol=0)
 
 
 def test_draw_bootstrap_rejects_bad_args():

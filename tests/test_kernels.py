@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ustatboot import kernels
 from ustatboot.kernels import (
     CovarianceKernel,
     CustomKernel,
@@ -168,6 +169,23 @@ def test_kendall_cross_mean_past_int16_codes():
     s = np.sign(xs - ys)
     expected = vech((s.T @ s + ys.shape[0]) / ys.shape[0])
     np.testing.assert_array_equal(KendallKernel().cross_mean(xs, ys), expected[None])
+
+
+def test_kendall_outputs_never_alias_the_pool():
+    # u_stat and cross_mean share their sign work arrays at these shapes, so
+    # each later call overwrites what an escaping view of an earlier one saw
+    rng = np.random.default_rng(4)
+    xs, ys = rng.standard_normal((2, 2 * _KENDALL_BLOCK + 3, 5))
+    k = KendallKernel()
+    outs = [k.u_stat(xs), k.cross_mean(xs, ys)]
+    kept = [out.copy() for out in outs]
+    outs += [k.u_stat(ys), k.cross_mean(ys, xs)]
+    for out, want in zip(outs, kept):
+        np.testing.assert_array_equal(out, want)
+    pooled = list(vars(kernels._pool).values())
+    assert len(pooled) >= 4
+    for out in outs:
+        assert not any(np.shares_memory(out, a) for a in pooled)
 
 
 @given(st.integers(min_value=0, max_value=2**31))
