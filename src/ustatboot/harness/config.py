@@ -137,6 +137,12 @@ class ExperimentConfig:
         for name in counts:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # an order-two U-statistic of n rows (a bootstrap half) needs two,
+        # and the tests of test_size need an off-diagonal entry
+        if self.n < 2:
+            raise ConfigError("n must be >= 2")
+        if self.experiment == "test_size" and self.p < 2:
+            raise ConfigError("test_size needs p >= 2")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not self.alpha_grid:

@@ -34,7 +34,8 @@ from ..estimators import (
     threshold_cov,
 )
 from ..gaussian_approx import kolmogorov_distance
-from ..kernels import CovarianceKernel, Kernel, KendallKernel
+from ..inference import test_covariance, test_kendall
+from ..kernels import CovarianceKernel
 from ..matstat import matrix_l1_norm, sup_norm
 from ..ustat import UStatResult, compute_u, sup_stat
 from .config import EXPERIMENT_NAMES, ExperimentConfig
@@ -70,19 +71,17 @@ def _map_reps(
 def _bootstrap(
     cfg: ExperimentConfig,
     model: EllipticalModel,
-    kernel: Kernel,
     r: int,
-    stage: int = 0,
     scaling: str = "applications",
-    restriction: str = "all",
 ) -> tuple[UStatResult, BootstrapDraws]:
-    """Sample 2n rows on the substream (tag, r, stage), then split them on
-    (tag, r, stage + 1) and draw on (tag, r, stage + 2) in the front end."""
+    """Sample 2n rows on the substream (tag, r, 0), then split them on
+    (tag, r, 1) and draw covariance-kernel bootstraps on (tag, r, 2) in the
+    front end."""
     tag = _TAGS[cfg.experiment]
-    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, stage)
+    data = sample(model, 2 * cfg.n, cfg.seed, tag, r, 0)
     return bootstrap_halves(
-        data, kernel, cfg.bootstrap_b, scaling, restriction,
-        cfg.seed, tag, r, stage + 1,
+        data, CovarianceKernel(), cfg.bootstrap_b, scaling, "all",
+        cfg.seed, tag, r, 1,
     )
 
 
@@ -100,7 +99,7 @@ def _curve_rep(
     cfg: ExperimentConfig, model: EllipticalModel, sigma: np.ndarray, r: int
 ) -> np.ndarray:
     scaling, _ = _CURVES[cfg.experiment]
-    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, scaling=scaling)
+    u, draws = _bootstrap(cfg, model, r, scaling)
     stat = draws.statistic(u, sigma)
     return draws.covers(stat, cfg.alpha_grid)
 
@@ -161,16 +160,9 @@ def run_naive_vs_hajek(cfg: ExperimentConfig) -> ExperimentResult:
     ks_naive = kolmogorov_distance(t_draws, naive_draws)
     ks_hajek = kolmogorov_distance(t_draws, hajek_draws)
     grid = np.quantile(res.ravel(), np.linspace(0.01, 0.99, 99))
-    rows = []
-    for t in grid:
-        rows.append(
-            [
-                float(t),
-                float(np.mean(t_draws <= t)),
-                float(np.mean(naive_draws <= t)),
-                float(np.mean(hajek_draws <= t)),
-            ]
-        )
+    # each law's empirical CDF at the grid: the count of draws <= t over reps
+    cdfs = [np.searchsorted(np.sort(d), grid, "right") / d.size for d in res.T]
+    rows = np.column_stack([grid, *cdfs]).tolist()
     return ExperimentResult(
         columns=["grid_point", "cdf_t", "cdf_naive", "cdf_hajek"],
         rows=rows,
@@ -218,7 +210,7 @@ def _threshold_rep(
     r: int,
 ) -> list[float]:
     beta = cfg.beta
-    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r)
+    u, draws = _bootstrap(cfg, model, r)
     a = quantile(draws, 1.0 - cfg.alpha)
     tau_star = select_tau_star(a, beta)
     est = threshold_cov(u.u, tau_star)
@@ -288,21 +280,17 @@ def _test_size_rep(
     ind_model: EllipticalModel,
     r: int,
 ) -> np.ndarray:
-    # covariance test under H0: Sigma = Sigma0
-    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r, restriction="offdiag")
-    stat_cov = draws.statistic(u, sigma)
-
-    # Kendall test under independence (``ind_model``)
-    u_k, draws_k = _bootstrap(
-        cfg, ind_model, KendallKernel(), r, stage=3, restriction="offdiag"
-    )
-    # statistic on the kernel scale: U0 = T0 + 1 entrywise with T0 = I
-    stat_ken = draws_k.statistic(u_k, np.eye(cfg.p) + 1.0)
+    """Rejections over the alpha grid of the library's covariance test of
+    H0: Sigma = Sigma0 and Kendall test of T0 = I under independence
+    (``ind_model``), on 2n rows sampled on (tag, r, 0) and (tag, r, 3) and
+    tested with the keys (tag, r, 1) and (tag, r, 4)."""
+    tag, n2, b = _TAGS["test_size"], 2 * cfg.n, cfg.bootstrap_b
+    data = sample(model, n2, cfg.seed, tag, r, 0)
+    cov = test_covariance(data, sigma, cfg.alpha, b, cfg.seed, tag, r, 1)
+    data_k = sample(ind_model, n2, cfg.seed, tag, r, 3)
+    ken = test_kendall(data_k, np.eye(cfg.p), cfg.alpha, b, cfg.seed, tag, r, 4)
     return np.concatenate(
-        [
-            draws.rejects(stat_cov, cfg.alpha_grid),
-            draws_k.rejects(stat_ken, cfg.alpha_grid),
-        ]
+        [t.draws.rejects(t.statistic, cfg.alpha_grid) for t in (cov, ken)]
     )
 
 
@@ -423,7 +411,7 @@ def _l1_rep(
     truth: tuple,
     r: int,
 ) -> list[float]:
-    u, draws = _bootstrap(cfg, model, CovarianceKernel(), r)
+    u, draws = _bootstrap(cfg, model, r)
     q = quantile(draws, 1.0 - cfg.alpha)
     return [float(r), *row(u.u, q, *truth)]
 

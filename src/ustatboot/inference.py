@@ -7,11 +7,11 @@ the applications scaling and rejects when statistic >= critical value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bootstrap import bootstrap_halves, check_level, quantile
+from .bootstrap import BootstrapDraws, bootstrap_halves, check_level, quantile
 from .kernels import CovarianceKernel, Kernel, KendallKernel
 from .matstat import as_sym
 from .rngutil import SeedLike
@@ -27,21 +27,33 @@ class TestResult:
     reject: bool
     b: int
     p_value: float  # the share of draws above the statistic
+    # the sorted draws, so that one bootstrap decides every other level too
+    # (``draws.rejects(statistic, alphas)``)
+    draws: BootstrapDraws = field(compare=False, repr=False)
 
 
-def _run_test(
+def test_ustat_mean(
     data: np.ndarray,
     kernel: Kernel,
     u0: np.ndarray,
     alpha: float,
-    b: int,
-    seed: SeedLike,
-    key: tuple[int, ...],
-    restriction: str,
+    b: int = 200,
+    seed: SeedLike = 0,
+    *key: int,
+    restriction: str = "all",
 ) -> TestResult:
+    """H0: E U = U0 for a generic order-two kernel.
+
+    The key rule is ``bootstrap_halves``': the split uses the substream
+    (seed, *key) and the draws the same key with its last entry plus one.
+    No key means the key (0,).  Keys one apart in their last entry share a
+    substream (the draws of one are the split of the other), so keys of
+    independent tests differ elsewhere or by two or more in the last entry,
+    as test_size's (tag, r, 1) and (tag, r, 4) do."""
     check_level(alpha)
+    u0 = as_sym(u0)
     u, draws = bootstrap_halves(
-        data, kernel, b, "applications", restriction, seed, *key, 0
+        data, kernel, b, "applications", restriction, seed, *(key or (0,))
     )
     stat = draws.statistic(u, u0)
     return TestResult(
@@ -51,6 +63,7 @@ def _run_test(
         reject=bool(draws.rejects(stat, (alpha,))[0]),
         b=b,
         p_value=draws.p_value(stat),
+        draws=draws,
     )
 
 
@@ -64,8 +77,9 @@ def test_covariance(
 ) -> TestResult:
     """H0: Sigma = Sigma0, tested on the maximum absolute off-diagonal
     deviation of the sample covariance from Sigma0."""
-    return _run_test(
-        data, CovarianceKernel(), as_sym(sigma0), alpha, b, seed, key, "offdiag"
+    return test_ustat_mean(
+        data, CovarianceKernel(), sigma0, alpha, b, seed, *key,
+        restriction="offdiag",
     )
 
 
@@ -86,21 +100,7 @@ def test_kendall(
     up by one per entry to compare on the kernel scale; the shift cancels in
     the decoupled Hajek estimates.
     """
-    t0 = as_sym(t0)
-    return _run_test(
-        data, KendallKernel(), t0 + 1.0, alpha, b, seed, key, "offdiag"
+    return test_ustat_mean(
+        data, KendallKernel(), as_sym(t0) + 1.0, alpha, b, seed, *key,
+        restriction="offdiag",
     )
-
-
-def test_ustat_mean(
-    data: np.ndarray,
-    kernel: Kernel,
-    u0: np.ndarray,
-    alpha: float,
-    b: int = 200,
-    seed: SeedLike = 0,
-    *key: int,
-    restriction: str = "all",
-) -> TestResult:
-    """H0: E U = U0 for a generic order-two kernel."""
-    return _run_test(data, kernel, as_sym(u0), alpha, b, seed, key, restriction)

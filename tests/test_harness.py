@@ -19,8 +19,13 @@ from ustatboot.harness.config import (
 from ustatboot.harness.experiments import (
     EXPERIMENTS,
     _nvh_rep,
+    _test_size_rep,
     banded_model,
     run_experiment,
+)
+from ustatboot.inference import (
+    test_covariance as covariance_test,
+    test_kendall as kendall_test,
 )
 from ustatboot.kernels import CovarianceKernel
 from ustatboot.lp import SimplexError
@@ -174,6 +179,35 @@ def test_coverage_replication_follows_stream_layout():
         assert run_experiment(cfg).rows == expected
 
 
+def test_test_size_replication_runs_the_library_tests():
+    # replication r samples on (tag, r, 0) and (tag, r, 3) and rejects where
+    # the library's covariance and Kendall tests with keys (tag, r, 1) and
+    # (tag, r, 4) reject, at every level of the grid
+    tag = EXPERIMENT_NAMES.index("test_size")
+    cfg = small("test_size", seed=3)
+    model = cfg.build_model()
+    sigma = population_sigma(model)
+    ind_model = dataclasses.replace(model, v=np.eye(cfg.p))
+    rows = []
+    for r in range(cfg.replications):
+        cov = covariance_test(
+            sample(model, 2 * cfg.n, cfg.seed, tag, r, 0),
+            sigma, cfg.alpha, cfg.bootstrap_b, cfg.seed, tag, r, 1,
+        )
+        ken = kendall_test(
+            sample(ind_model, 2 * cfg.n, cfg.seed, tag, r, 3),
+            np.eye(cfg.p), cfg.alpha, cfg.bootstrap_b, cfg.seed, tag, r, 4,
+        )
+        rows.append(
+            [t.draws.rejects(t.statistic, cfg.alpha_grid) for t in (cov, ken)]
+        )
+        got = _test_size_rep(cfg, model, sigma, ind_model, r)
+        np.testing.assert_array_equal(got, np.concatenate(rows[-1]))
+    size = np.mean(rows, axis=0)
+    expected = [[a, c, k] for a, c, k in zip(cfg.alpha_grid, *size)]
+    assert run_experiment(cfg).rows == expected
+
+
 def test_nvh_naive_draw_is_gaussian_ustat_on_its_substream():
     # the naive statistic is the raw sup of the covariance U-statistic of
     # N(0, Sigma) rows drawn on substream (seed, tag, r, 2, 0)
@@ -283,6 +317,18 @@ def test_cli_config_error_exit_code(tmp_path):
         # 1 - 1e-17 rounds to 1.0, which has no upper quantile rank
         ("threshold_eval", {"alpha": 1e-17}),
         ("test_size", {"alpha_grid": [1e-17, 0.05]}),
+        # one row per half has no U-statistic; p = 1 has no off-diagonal
+        ("pp_plot", {"n": 1}),
+        ("coverage", {"n": 1}),
+        ("naive_vs_hajek", {"n": 1}),
+        ("threshold_eval", {"n": 1}),
+        ("test_size", {"n": 1}),
+        ("clime_eval", {"n": 1}),
+        ("linfun_eval", {"n": 1}),
+        (
+            "test_size",
+            {"p": 1, "model": {**default_config("test_size").model, "p": 1}},
+        ),
     ],
 )
 def test_cli_degenerate_config_exit_code(tmp_path, name, over):

@@ -38,17 +38,26 @@ def test_covariance_test_deterministic(m1_data):
 
 
 def test_covariance_test_follows_stream_layout(m1_data):
-    # the split uses the substream (seed, *key, 0) and the draws (seed, *key, 1)
+    # bootstrap_halves' key rule: the split uses the substream (seed, *key)
+    # and the draws the key with its last entry plus one, (seed, 7, 4) here;
+    # no key means the key (0,)
     model, data = m1_data
     sigma0 = population_sigma(model)
     seed, key, kernel = 11, (7, 3), CovarianceKernel()
     res = covariance_test(data, sigma0, 0.1, 50, seed, *key)
-    main, train = split_sample(data, seed, *key, 0)
+    main, train = split_sample(data, seed, *key)
     stat = sup_stat(compute_u(main, kernel), sigma0, restriction="offdiag")
     g = estimate_g_decoupled(main, train, kernel)
-    draws = draw_bootstrap(g, 50, "applications", "offdiag", seed, *key, 1)
+    draws = draw_bootstrap(g, 50, "applications", "offdiag", seed, 7, 4)
     assert res.statistic == stat
     assert res.critical_value == quantile(draws, 0.9)
+    np.testing.assert_array_equal(res.draws.values, draws.values)
+    unkeyed = covariance_test(data, sigma0, 0.1, 50, seed)
+    main, train = split_sample(data, seed, 0)
+    g = estimate_g_decoupled(main, train, kernel)
+    draws_0 = draw_bootstrap(g, 50, "applications", "offdiag", seed, 1)
+    assert unkeyed == covariance_test(data, sigma0, 0.1, 50, seed, 0)
+    np.testing.assert_array_equal(unkeyed.draws.values, draws_0.values)
     # reject and p_value against the per-level quantile, written the ways
     # callers compute a level
     assert res.p_value == np.count_nonzero(draws.values > stat) / 50
