@@ -5,19 +5,17 @@ Hajek projection at each main row against the training half (the decoupled
 estimator), then perturb the estimates with iid standard normal multipliers
 and read quantiles and decisions off the sorted draws at one rank, ``_rank``.
 
-The draws never hold the (B, p(p+1)/2) product of the multipliers with ghat,
-nor, for the covariance kernel, ghat itself.  ``draw_bootstrap`` reads ghat
-one vech column block at a time (the entries (j, k), j >= k, of whole matrix
-columns k, about ``_BLOCK_SIZE`` / n of them per block): one GEMM per
-block, then a running maximum per draw of that block's signed max or
-max |.|.  For the covariance kernel, column (j, k) of ghat is
-d_j * d_k / 2 + D_jk with d = main - mean(train) and D = C / 2 - U(train),
-so the estimates keep only d^T and vech(C) and build each block when it is
-asked for, in one reused buffer; every other kernel's ghat is materialized
-and handed out in slices.  The (B, n) multipliers and every work array of a
-draw come from the per-thread pool of ``kernels._work_array``, so repeated
-draws at one shape allocate none of them; what a draw returns is always a
-new array.
+The draws never hold the (B, p(p+1)/2) product of the multipliers with
+ghat.  ``draw_bootstrap`` reads ghat one vech column block at a time (the
+entries (j, k), j >= k, of whole matrix columns k, about ``_BLOCK_SIZE`` / n
+of them per block): one GEMM per block, then a running maximum per draw of
+that block's signed max or max |.|.  Each kernel builds its estimates in
+``kernels`` (``Kernel._estimates``), and the estimates decide how a block
+reaches the GEMM (``DecoupledGEstimates.blocks``): as a slice of a
+materialized ghat, or built from factors in one reused buffer.  The (B, n)
+multipliers and every work array of a draw come from the per-thread pool of
+``kernels._work_array``, so repeated draws at one shape allocate none of
+them; what a draw returns is always a new array.
 
 Two scalings of the multiplier statistic are implemented, each paired with
 the centred maximum of ``ustat.sup_stat`` whose law it approximates:
@@ -39,8 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .kernels import CovarianceKernel, Kernel, _work_array, check_data
-from .matstat import vech, vech_outer_rows
+from .kernels import DecoupledGEstimates, Kernel, _work_array, check_data
 from .rngutil import SeedLike, substream
 from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
 
@@ -85,77 +82,18 @@ class DegenerateBootstrapError(FloatingPointError):
     no critical value is informative."""
 
 
-class DecoupledGEstimates:
-    """Per-row Hajek projection estimates ghat_i, half-vectorized (row i of
-    ``g_hat`` is ``vech(ghat_i)``: ghat_i is symmetric, so this holds every
-    distinct entry), and the training-half U-statistic they were centered
-    with.  ``blocks`` hands ghat to ``draw_bootstrap`` in vech column blocks;
-    this class holds ghat materialized and hands out slices of it."""
-
-    def __init__(self, g_hat: np.ndarray, train_u: np.ndarray):
-        p = train_u.shape[0]
-        if g_hat.ndim != 2 or g_hat.shape[1] != p * (p + 1) // 2:
-            raise ValueError(
-                f"g_hat must be (n, p(p+1)/2) for p = {p}, got {g_hat.shape}"
-            )
-        self.g_hat = g_hat  # (n, p(p+1)/2)
-        self.train_u = train_u  # (p, p)
-        self.n = g_hat.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.train_u.shape[0]
-
-    def blocks(self, e: np.ndarray, schedule: list):
-        """Yield (a, x) per block (k0, k1, lo, hi, diag) of the
-        ``_column_blocks`` schedule, with a @ x = e @ g_hat[:, lo:hi] for the
-        (b, n) multipliers e.  Each a and x is valid until the next block is
-        asked for."""
-        for _, _, lo, hi, _ in schedule:
-            yield e, self.g_hat[:, lo:hi]
-
-
-class _CovarianceEstimates(DecoupledGEstimates):
-    """Covariance-kernel ghat from its factors: column (j, k) is
-    (d_j * d_k + C_jk) / 2 - U_jk with d^T = ``d_t`` (p x n), vech(C) = ``c``
-    and U = ``train_u``.  Only ``g_hat`` builds the (n, p(p+1)/2) matrix."""
-
-    def __init__(self, d_t: np.ndarray, c: np.ndarray, train_u: np.ndarray):
-        self._d_t = d_t
-        self._c = c
-        self.train_u = train_u
-        self.n = d_t.shape[1]
-
-    @property
-    def g_hat(self) -> np.ndarray:
-        """ghat built on demand, bit for bit ``CovarianceKernel.cross_mean``
-        minus ``vech(train_u)``."""
-        out = CovarianceKernel.mean_from_factors(self._d_t, self._c)
-        out -= vech(self.train_u)
-        return out
-
-    def blocks(self, e: np.ndarray, schedule: list):
-        # [e / 2 | row sums of e] @ [d_j * d_k | D_jk]^T folds the halving
-        # and the constant D = C / 2 - U into the GEMM
-        n = self.n
-        a = _work_array("bootstrap.operand", (e.shape[0], n + 1))
-        np.multiply(e, 0.5, out=a[:, :n])
-        a[:, n] = e.sum(axis=1)
-        const = self._c / 2.0 - vech(self.train_u)
-        width = max(hi - lo for _, _, lo, hi, _ in schedule)
-        buf = _work_array("bootstrap.block", (width, n + 1))
-        for k0, k1, lo, hi, _ in schedule:
-            rows = buf[: hi - lo]
-            vech_outer_rows(self._d_t, k0, k1, rows[:, :n])
-            rows[:, n] = const[lo:hi]
-            yield a, rows.T
-
-
 def check_level(alpha: float) -> None:
     """Raise ValueError unless alpha and 1 - alpha both lie in (0, 1): for
     alpha below about 1e-16, 1 - alpha rounds to 1 and has no rank."""
     if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
         raise ValueError(f"alpha and 1 - alpha must lie in (0, 1), got {alpha!r}")
+
+
+def _checked(alphas: Iterable[float]):
+    """Each level of ``alphas`` once ``check_level`` has passed it."""
+    for alpha in alphas:
+        check_level(alpha)
+        yield alpha
 
 
 def _rank(alpha: float, b: int) -> int:
@@ -164,9 +102,8 @@ def _rank(alpha: float, b: int) -> int:
 
     Levels like 1 - 0.95 carry rounding error of a few units of double
     precision at 1, so alpha * b within that distance of an integer is taken
-    as that integer (ceil(0.05 * 200) is 10, not 11)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    as that integer (ceil(0.05 * 200) is 10, not 11).  Callers check the
+    level they are given with ``check_level``."""
     k = alpha * b
     rank = round(k)
     if abs(k - rank) > 4 * b * math.ulp(1.0):
@@ -206,7 +143,7 @@ class BootstrapDraws:
         """statistic <= quantile(self, alpha) per alpha: fewer than
         ``_rank(alpha, b)`` draws lie below the statistic."""
         below, b = self._count(statistic, "left"), self.b
-        return np.array([below < _rank(a, b) for a in alphas])
+        return np.array([below < _rank(a, b) for a in _checked(alphas)])
 
     def rejects(self, statistic: float, alphas: Iterable[float]) -> np.ndarray:
         """statistic >= quantile(self, 1 - alpha) per alpha: at least
@@ -214,7 +151,7 @@ class BootstrapDraws:
         decide, not ``p_value <= alpha``, which fails at b = 100 with 10 draws
         above and alpha = 1 - 0.9 = 0.09999999999999998."""
         at_most, b = self._count(statistic, "right"), self.b
-        return np.array([at_most >= _rank(1.0 - a, b) for a in alphas])
+        return np.array([at_most >= _rank(1.0 - a, b) for a in _checked(alphas)])
 
     def p_value(self, statistic: float) -> float:
         """The share of draws above the statistic."""
@@ -242,8 +179,8 @@ def estimate_g_decoupled(
 
     ghat_i = n^{-1} sum_j h(X_i, X'_j) - C(n,2)^{-1} sum_{j<l} h(X'_j, X'_l),
 
-    each half-vectorized into one row of ``g_hat``.  For the covariance
-    kernel only the factors of ghat are kept (see the module docstring).
+    each half-vectorized into one row of ``g_hat``.  The kernel builds the
+    estimates (``Kernel._estimates``, see ``kernels``).
     """
     main = check_data(main)
     train = check_data(train)
@@ -251,12 +188,7 @@ def estimate_g_decoupled(
         raise ValueError(
             f"main and train shapes differ: {main.shape} vs {train.shape}"
         )
-    train_u = kernel.u_stat(train)
-    if isinstance(kernel, CovarianceKernel):
-        return _CovarianceEstimates(*kernel.cross_factors(main, train), train_u)
-    g_hat = kernel.cross_mean(main, train)  # a new array, centered in place
-    g_hat -= vech(train_u)
-    return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
+    return kernel._estimates(main, train)
 
 
 def draw_bootstrap(
@@ -332,4 +264,5 @@ def bootstrap_halves(
 def quantile(draws: BootstrapDraws, alpha: float) -> float:
     """Empirical inf-quantile: the draw at ``_rank(alpha, B)``, the
     ceil(alpha * B)-th order statistic."""
+    check_level(alpha)
     return float(draws.values[_rank(alpha, draws.b) - 1])

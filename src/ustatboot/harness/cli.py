@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -79,6 +80,19 @@ def _write_csv(stream, columns, rows) -> None:
         writer.writerow([_format_cell(v) for v in row])
 
 
+def _unwritable(out: Path) -> str | None:
+    """Why the CSV at ``out`` or its sidecar cannot be written, found
+    without creating either; None when both can be."""
+    if not out.parent.is_dir():
+        return f"cannot write {out}: {out.parent} is not a directory"
+    for path in (out, out.with_name(out.name + ".meta.json")):
+        if path.is_dir():
+            return f"cannot write {path}: it is a directory"
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            return f"cannot write {path}: permission denied"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -105,6 +119,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    # an output that cannot be written fails now, not after the run
+    out = None if args.out is None else Path(args.out)
+    if out is not None and (problem := _unwritable(out)):
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
 
     start = time.monotonic()
     try:
@@ -119,11 +138,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     elapsed = time.monotonic() - start
 
-    if args.out is None:
+    if out is None:
         _write_csv(sys.stdout, result.columns, result.rows)
         return EXIT_OK
 
-    out = Path(args.out)
     with out.open("w", newline="") as fh:
         _write_csv(fh, result.columns, result.rows)
     meta = {

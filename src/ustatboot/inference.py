@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bootstrap import BootstrapDraws, bootstrap_halves, check_level, quantile
-from .kernels import CovarianceKernel, Kernel, KendallKernel
+from .kernels import CovarianceKernel, Kernel, KendallKernel, check_data
 from .matstat import as_sym
 from .rngutil import SeedLike
 
@@ -52,6 +52,9 @@ def test_ustat_mean(
     as test_size's (tag, r, 1) and (tag, r, 4) do."""
     check_level(alpha)
     u0 = as_sym(u0)
+    p = check_data(data).shape[1]
+    if u0.shape != (p, p):
+        raise ValueError(f"null matrix shape {u0.shape} does not match p = {p}")
     u, draws = bootstrap_halves(
         data, kernel, b, "applications", restriction, seed, *(key or (0,))
     )

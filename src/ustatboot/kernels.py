@@ -15,9 +15,14 @@ possible:
   as an (n_x, p(p+1)/2) matrix whose row i is the half-vectorization
   (``matstat.vech`` order, the lower triangle by columns) of that symmetric
   mean.  The bootstrap reads only these distinct entries, so no (n_x, p, p)
-  array is built; for the covariance kernel it reads the factors of
-  ``CovarianceKernel.cross_factors`` instead and builds no (n_x, p(p+1)/2)
-  matrix either.
+  array is built.
+
+Each kernel builds the decoupled Hajek estimates of
+``bootstrap.estimate_g_decoupled`` (``Kernel._estimates``).  By default
+ghat = ``cross_mean(main, train)`` - vech(``u_stat(train)``) is materialized
+(:class:`DecoupledGEstimates`).  Covariance ghat (j, k) is
+d_j * d_k / 2 + D_jk with d = main - mean(train) and D = C / 2 - U(train),
+so its estimates keep d^T and vech(C) and build each draw block from them.
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
 h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
@@ -27,16 +32,16 @@ of the paper; for every law, ties included, E h = tau_a + 1 with tau_a
 Kendall's tau-a matrix.  Only ranks enter: each call codes every column
 once by dense rank (equal values, -0.0 and 0.0 included, share a code;
 ``cross_mean`` codes both samples together), as int16 below 2^15 rows, where
-every code difference fits, and int32 from there.  Each block of
-``_KENDALL_BLOCK`` (16) rows of S is built as code differences in one
-integer work array, signed in place and cast into one float32 work array;
-these, the block products and their vech take come from the per-thread pool
-of ``_work_array``, so repeated calls at one shape allocate none of them.
-Every partial sum of S's products is an integer, exact in float32 up to
-2^24: a ``cross_mean`` entry sums n_y signs and a ``u_stat`` block at most
-16 n, so products are exact for n_y <= 2^24 and n <= 2^20.  Pair counts are
-added and blocks accumulate in float64, so results are bit-identical to the
-pair loop of :class:`Kernel`.
+every code difference fits, and int32 from there.  For both methods
+``_sign_blocks`` builds each block of ``_KENDALL_BLOCK`` (16) rows of S as
+code differences in one integer work array, signed in place and cast into
+one float32 work array; these, the block products and their vech take come
+from the per-thread pool of ``_work_array``, so repeated calls at one shape
+allocate none of them.  Every partial sum of S's products is an integer,
+exact in float32 up to 2^24: a ``cross_mean`` entry sums n_y signs and a
+``u_stat`` block at most 16 n, so products are exact for n_y <= 2^24 and
+n <= 2^20.  Pair counts are added and blocks accumulate in float64, so
+results are bit-identical to the pair loop of :class:`Kernel`.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matstat import vech, vech_outer_rows, vech_pairs
+from .matstat import vech, vech_pairs
 
 __all__ = [
     "Kernel",
@@ -128,21 +133,60 @@ def _rank_codes(data: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _sign_block(
-    d_buf: np.ndarray, s_buf: np.ndarray, x: np.ndarray, y: np.ndarray, upper=None
-) -> np.ndarray:
-    """float32 sign(x_i - y_j) of rank codes as an (n_x, n_y, p) view of
-    ``s_buf``, via the code differences in ``d_buf``; with ``upper`` the
-    pairs j <= i are zeroed first."""
-    b = len(x)
-    d = d_buf[: b * y.size].reshape(b, *y.shape)
-    np.subtract(x[:, None], y[None], out=d)
-    if upper is not None:
-        d[:, :b] *= upper[:b, :b]
-    np.sign(d, out=d)
-    s = s_buf[: d.size].reshape(d.shape)
-    np.copyto(s, d)
-    return s
+def _sign_blocks(x: np.ndarray, y: np.ndarray | None = None):
+    """Yield (start, s) per block of ``_KENDALL_BLOCK`` rows x[start:start + b]
+    of the rank codes x, with s = float32 sign(x_i - y_j), the signed code
+    differences, as a (b, n_y, p) view of a pooled array: against every row
+    of y, or with no y against x[start:] with the pairs j <= i zeroed, so
+    that each unordered pair of rows of x is signed once.  Each s is valid
+    until the next block."""
+    if y is None:
+        upper = np.triu(np.ones((_KENDALL_BLOCK,) * 2, x.dtype), 1)[:, :, None]
+    size = min(len(x), _KENDALL_BLOCK) * len(x if y is None else y) * x.shape[1]
+    d_buf = _work_array("kendall.diff", (size,), x.dtype)
+    s_buf = _work_array("kendall.sign", (size,), np.float32)
+    for start in range(0, len(x), _KENDALL_BLOCK):
+        block = x[start : start + _KENDALL_BLOCK]
+        against = x[start:] if y is None else y
+        b = len(block)
+        d = d_buf[: b * against.size].reshape(b, *against.shape)
+        np.subtract(block[:, None], against[None], out=d)
+        if y is None:
+            d[:, :b] *= upper[:b, :b]
+        np.sign(d, out=d)
+        s = s_buf[: d.size].reshape(d.shape)
+        np.copyto(s, d)
+        yield start, s
+
+
+class DecoupledGEstimates:
+    """Per-row Hajek projection estimates ghat_i, half-vectorized (row i of
+    ``g_hat`` is ``vech(ghat_i)``: ghat_i is symmetric, so this holds every
+    distinct entry), and the training-half U-statistic they were centered
+    with.  ``blocks`` hands ghat to ``draw_bootstrap`` in vech column blocks;
+    this class holds ghat materialized and hands out slices of it."""
+
+    def __init__(self, g_hat: np.ndarray, train_u: np.ndarray):
+        p = train_u.shape[0]
+        if g_hat.ndim != 2 or g_hat.shape[1] != p * (p + 1) // 2:
+            raise ValueError(
+                f"g_hat must be (n, p(p+1)/2) for p = {p}, got {g_hat.shape}"
+            )
+        self.g_hat = g_hat  # (n, p(p+1)/2)
+        self.train_u = train_u  # (p, p)
+        self.n = g_hat.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.train_u.shape[0]
+
+    def blocks(self, e: np.ndarray, schedule: list):
+        """Yield (a, x) per block (k0, k1, lo, hi, diag) of the
+        ``bootstrap._column_blocks`` schedule, with a @ x = e @ g_hat[:, lo:hi] for the
+        (b, n) multipliers e.  Each a and x is valid until the next block is
+        asked for."""
+        for _, _, lo, hi, _ in schedule:
+            yield e, self.g_hat[:, lo:hi]
 
 
 class Kernel:
@@ -175,6 +219,82 @@ class Kernel:
                 out[i] += self(x, y)[rows, cols]
         return out / ys.shape[0]
 
+    def _estimates(self, main: np.ndarray, train: np.ndarray) -> DecoupledGEstimates:
+        """``bootstrap.estimate_g_decoupled`` for two checked halves of one
+        shape; by default ghat is materialized (see the module docstring)."""
+        train_u = self.u_stat(train)
+        g_hat = self.cross_mean(main, train)  # a new array, centered in place
+        g_hat -= vech(train_u)
+        return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
+
+
+def _cross_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d^T, vech(C)) with d = xs - ybar as a contiguous (p, n_x) array and C
+    the mean of (y_j - ybar)(y_j - ybar)^T, so that the covariance kernel's
+    mean_j h(x_i, y_j) = (d_i d_i^T + C) / 2."""
+    xs, ys = _check_samples(xs, ys)
+    ybar = ys.mean(axis=0)
+    cy = ys - ybar
+    d_t = np.subtract(xs.T, ybar[:, None], order="C")
+    return d_t, vech((cy.T @ cy) / ys.shape[0])
+
+
+def _vech_outer_rows(d_t: np.ndarray, k0: int, k1: int, out: np.ndarray) -> None:
+    """Into ``out``, one row d_t[j] * d_t[k] per vech position (j, k), j >= k,
+    of matrix columns k0..k1-1: the outer products d_i d_i^T of the columns
+    d_i of ``d_t`` (p x n), half-vectorized and transposed."""
+    p = d_t.shape[0]
+    start = 0
+    for k in range(k0, k1):
+        np.multiply(d_t[k:], d_t[k], out=out[start : start + p - k])
+        start += p - k
+
+
+def _mean_from_factors(d_t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The covariance kernel's ``cross_mean`` from its factors (d^T, vech(C))
+    of ``_cross_factors``: a new (n_x, p(p+1)/2) array, one product per vech
+    position and no (n_x, p, p) array."""
+    out = np.empty((c.size, d_t.shape[1]))
+    _vech_outer_rows(d_t, 0, d_t.shape[0], out)
+    out += c[:, None]
+    out /= 2.0
+    return out.T
+
+
+class _CovarianceEstimates(DecoupledGEstimates):
+    """Covariance-kernel ghat from its factors: column (j, k) is
+    (d_j * d_k + C_jk) / 2 - U_jk with d^T = ``d_t`` (p x n), vech(C) = ``c``
+    and U = ``train_u``.  Only ``g_hat`` builds the (n, p(p+1)/2) matrix."""
+
+    def __init__(self, d_t: np.ndarray, c: np.ndarray, train_u: np.ndarray):
+        self._d_t = d_t
+        self._c = c
+        self.train_u = train_u
+        self.n = d_t.shape[1]
+
+    @property
+    def g_hat(self) -> np.ndarray:
+        """ghat built on demand, bit for bit ``cross_mean`` - vech(U)."""
+        out = _mean_from_factors(self._d_t, self._c)
+        out -= vech(self.train_u)
+        return out
+
+    def blocks(self, e: np.ndarray, schedule: list):
+        # [e / 2 | row sums of e] @ [d_j * d_k | D_jk]^T folds the halving
+        # and the constant D = C / 2 - U into the GEMM
+        n = self.n
+        a = _work_array("bootstrap.operand", (e.shape[0], n + 1))
+        np.multiply(e, 0.5, out=a[:, :n])
+        a[:, n] = e.sum(axis=1)
+        const = self._c / 2.0 - vech(self.train_u)
+        width = max(hi - lo for _, _, lo, hi, _ in schedule)
+        buf = _work_array("bootstrap.block", (width, n + 1))
+        for k0, k1, lo, hi, _ in schedule:
+            rows = buf[: hi - lo]
+            _vech_outer_rows(self._d_t, k0, k1, rows[:, :n])
+            rows[:, n] = const[lo:hi]
+            yield a, rows.T
+
 
 class CovarianceKernel(Kernel):
     """h(x1, x2) = (x1 - x2)(x1 - x2)^T / 2; E h = Cov(X) for iid arguments."""
@@ -191,31 +311,12 @@ class CovarianceKernel(Kernel):
         c = data - data.mean(axis=0)
         return (c.T @ c) / (n - 1)
 
-    def cross_factors(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(d^T, vech(C)) with d = xs - ybar as a contiguous (p, n_x) array
-        and C the mean of (y_j - ybar)(y_j - ybar)^T, so that
-        mean_j h(x_i, y_j) = (d_i d_i^T + C) / 2."""
-        xs, ys = _check_samples(xs, ys)
-        ybar = ys.mean(axis=0)
-        cy = ys - ybar
-        d_t = np.subtract(xs.T, ybar[:, None], order="C")
-        return d_t, vech((cy.T @ cy) / ys.shape[0])
-
-    @staticmethod
-    def mean_from_factors(d_t: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """``cross_mean`` from its factors (d^T, vech(C)) of
-        ``cross_factors``: a new (n_x, p(p+1)/2) array."""
-        # vech row (j, k) of the transposed result is d_j * d_k over the rows
-        # of xs: one product per vech position, no (n_x, p, p) array
-        out = vech_outer_rows(d_t)
-        out += c[:, None]
-        out /= 2.0
-        return out.T
-
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self.mean_from_factors(*self.cross_factors(xs, ys))
+        return _mean_from_factors(*_cross_factors(xs, ys))
+
+    def _estimates(self, main: np.ndarray, train: np.ndarray) -> DecoupledGEstimates:
+        # only the factors of ghat are kept (see the module docstring)
+        return _CovarianceEstimates(*_cross_factors(main, train), self.u_stat(train))
 
 
 class KendallKernel(Kernel):
@@ -240,14 +341,8 @@ class KendallKernel(Kernel):
         n, p = data.shape
         pairs = n * (n - 1) / 2
         acc = np.full((p, p), pairs)
-        codes = _rank_codes(data)
-        upper = np.triu(np.ones((_KENDALL_BLOCK,) * 2, codes.dtype), 1)[:, :, None]
-        rows = min(n, _KENDALL_BLOCK)
-        d_buf = _work_array("kendall.diff", (rows * n * p,), codes.dtype)
-        s_buf = _work_array("kendall.sign", d_buf.shape, np.float32)
-        for start in range(0, n, _KENDALL_BLOCK):
-            block = codes[start : start + _KENDALL_BLOCK]
-            s = _sign_block(d_buf, s_buf, block, codes[start:], upper).reshape(-1, p)
+        for _, s in _sign_blocks(_rank_codes(data)):
+            s = s.reshape(-1, p)
             acc += s.T @ s
         return acc / pairs
 
@@ -261,18 +356,14 @@ class KendallKernel(Kernel):
         codes = _rank_codes(np.concatenate((xs, ys)))
         at = np.ravel_multi_index(vech_pairs(p), (p, p))
         block = min(n_x, _KENDALL_BLOCK)
-        d_buf = _work_array("kendall.diff", (block * n_y * p,), codes.dtype)
-        s_buf = _work_array("kendall.sign", d_buf.shape, np.float32)
         prod = _work_array("kendall.prod", (block, p, p), np.float32)
         vech_buf = _work_array("kendall.vech", (block, at.size), np.float32)
         out = np.empty((n_x, at.size))
-        for start in range(0, n_x, _KENDALL_BLOCK):
-            stop = min(start + _KENDALL_BLOCK, n_x)
-            s = _sign_block(d_buf, s_buf, codes[start:stop], codes[n_x:])
+        for start, s in _sign_blocks(codes[:n_x], codes[n_x:]):
             b = len(s)
             np.matmul(s.transpose(0, 2, 1), s, out=prod[:b])
             np.take(prod[:b].reshape(b, -1), at, axis=1, out=vech_buf[:b], mode="clip")
-            np.add(vech_buf[:b], n_y, out=out[start:stop], dtype=np.float64)
+            np.add(vech_buf[:b], n_y, out=out[start : start + b], dtype=np.float64)
         out /= n_y
         return out
 

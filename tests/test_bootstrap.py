@@ -463,10 +463,17 @@ def test_quantile_order_statistic_oracle():
     assert quantile(draws, 0.21) == 2.0
     assert quantile(draws, 0.5) == 3.0
     assert quantile(draws, 0.95) == 5.0
-    with pytest.raises(ValueError):
-        quantile(draws, 0.0)
-    with pytest.raises(ValueError):
-        quantile(draws, 1.0)
+    # quantile, covers and rejects apply one rule to the level they are given:
+    # 1 - 1e-17 rounds to 1, so 1e-17 has no rank on either side
+    decisions = (
+        lambda a: quantile(draws, a),
+        lambda a: draws.covers(3.0, [0.5, a]),
+        lambda a: draws.rejects(3.0, [0.5, a]),
+    )
+    for alpha in (0.0, 1.0, 1e-17):
+        for decide in decisions:
+            with pytest.raises(ValueError, match="alpha and 1 - alpha must lie in"):
+                decide(alpha)
 
 
 def _levels(i):

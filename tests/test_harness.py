@@ -381,6 +381,35 @@ def test_cli_numeric_failure_exit_code(tmp_path, monkeypatch, error):
     assert cli_main(["coverage", "--config", str(cfg_path)]) == 3
 
 
+@pytest.mark.parametrize("case", ["no-directory", "directory", "numeric-failure"])
+def test_cli_out_is_written_only_after_a_good_run(tmp_path, monkeypatch, capsys, case):
+    # an --out that cannot be written is a configuration error found before
+    # the run (exit 2); neither exit 2 nor exit 3 leaves a CSV or sidecar
+    import ustatboot.harness.cli as cli_mod
+
+    cfg_path = _write_cfg(tmp_path, "coverage")
+    out = {
+        "no-directory": tmp_path / "missing" / "out.csv",
+        "directory": tmp_path / "out.csv",
+        "numeric-failure": tmp_path / "out.csv",
+    }[case]
+    if case == "directory":
+        out.mkdir()
+
+    def run(cfg):
+        if case != "numeric-failure":
+            raise AssertionError("the experiment ran")
+        raise FloatingPointError("bootstrap draws must be finite")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", run)
+    before = sorted(tmp_path.rglob("*"))
+    code = cli_main(["coverage", "--config", str(cfg_path), "--out", str(out)])
+    assert code == (3 if case == "numeric-failure" else 2)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:" if code == 2 else "numeric")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_console_script_installed(tmp_path):
     cfg_path = _write_cfg(tmp_path, "maximal_ineq_scaling", n_grid=(20, 40))
     out = tmp_path / "mis.csv"

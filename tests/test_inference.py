@@ -156,6 +156,18 @@ def test_alpha_validation(m1_data, monkeypatch):
 
 
 @pytest.mark.parametrize("run_test", [covariance_test, kendall_test])
+def test_null_matrix_shape_is_checked_before_the_bootstrap(
+    m1_data, monkeypatch, run_test
+):
+    # a 4 x 4 null matrix for p = 3 data fails before the split, the
+    # estimates and the B multiplier draws
+    data = m1_data[1][:, :3]
+    monkeypatch.setattr(inference, "bootstrap_halves", None)
+    with pytest.raises(ValueError, match="null matrix"):
+        run_test(data, np.eye(4), 0.05)
+
+
+@pytest.mark.parametrize("run_test", [covariance_test, kendall_test])
 def test_non_finite_data_raises(m1_data, run_test):
     # a NaN must not turn into critical_value=nan, reject=False
     model, data = m1_data
