@@ -24,17 +24,6 @@ __all__ = [
     "model_from_config",
 ]
 
-EXPERIMENT_NAMES = (
-    "pp_plot",
-    "naive_vs_hajek",
-    "coverage",
-    "threshold_eval",
-    "test_size",
-    "clime_eval",
-    "linfun_eval",
-    "maximal_ineq_scaling",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -53,6 +42,31 @@ def _contaminated_model(p: int, v_kind: str, **extra: Any) -> dict[str, Any]:
     }
 
 
+# lambda* = M a(1 - alpha) with a of order n^{-1/2}: n = 1000 keeps lambda*
+# below 1, where theta = 0 is infeasible (at n = 100 every estimate is the
+# all-zero one)
+_L1_DEFAULTS = (
+    _contaminated_model(20, "ar1", rho=0.7), {"n": 1000, "replications": 50}
+)
+
+# Each experiment's default model and the fields it overrides.  The order is
+# the experiments' substream tags, so a new experiment goes last.
+_DEFAULTS: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {
+    "pp_plot": (_contaminated_model(40, "d1"), {}),
+    "naive_vs_hajek": (
+        {"family": "elliptic_t", "nu": 8.0, "v_kind": "d1", "p": 40}, {}
+    ),
+    "coverage": (_contaminated_model(40, "d1"), {}),
+    "threshold_eval": (_contaminated_model(40, "ar1", rho=0.7), {"replications": 500}),
+    "test_size": (_contaminated_model(40, "d1"), {}),
+    "clime_eval": _L1_DEFAULTS,
+    "linfun_eval": _L1_DEFAULTS,
+    "maximal_ineq_scaling": (_contaminated_model(10, "d1"), {"replications": 200}),
+}
+
+EXPERIMENT_NAMES = tuple(_DEFAULTS)
+
+
 def _is_int(value: Any) -> bool:
     # JSON true/false load as bool, which is an int subclass
     return isinstance(value, int) and not isinstance(value, bool)
@@ -60,6 +74,11 @@ def _is_int(value: Any) -> bool:
 
 def _is_real(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# a field's JSON type by its annotation: integer fields take JSON integers,
+# float fields JSON numbers, tuple fields arrays of those, optional ones null
+_JSON_TYPES = {"int": (_is_int, "integer"), "float": (_is_real, "number")}
 
 
 def model_from_config(cfg: dict[str, Any]) -> EllipticalModel:
@@ -120,21 +139,21 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; "
                 f"expected one of {EXPERIMENT_NAMES}"
             )
-        counts = ("n", "p", "replications", "bootstrap_b", "workers", "band_k0")
-        for name in (*counts, "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        if not all(_is_int(n) for n in self.n_grid):
-            raise ConfigError("n_grid values must be integers")
-        reals = ("alpha", "beta", "tau_delta_const")
-        if self.m_bound is not None:
-            reals += ("m_bound",)
-        for name in reals:
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number")
-        if not all(_is_real(a) for a in self.alpha_grid):
-            raise ConfigError("alpha_grid values must be numbers")
-        for name in counts:
+        # the JSON type of every field after ``model``, from its annotation
+        for f in dataclasses.fields(self)[2:]:
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            item = kind.removeprefix("tuple[").removesuffix(", ...]")
+            is_item, what = _JSON_TYPES[item]
+            if item == kind:
+                ok = is_item(value)
+            else:
+                ok = isinstance(value, tuple) and all(map(is_item, value))
+                what = f"array of {what}s"
+            if not ok:
+                raise ConfigError(f"{f.name} must be a JSON {what}")
+        for name in ("p", "replications", "bootstrap_b", "workers", "band_k0"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         # an order-two U-statistic of n rows (a bootstrap half) needs two,
@@ -165,49 +184,27 @@ class ExperimentConfig:
         model = model_from_config(self.model)
         if model.p != self.p:
             raise ConfigError(f"model p={model.p} does not match config p={self.p}")
+        # threshold_eval replaces V by its band filter and reads only rho
+        v_kind = self.model["v_kind"].lower()
+        if self.experiment == "threshold_eval" and v_kind != "ar1":
+            raise ConfigError(
+                "threshold_eval needs v_kind 'ar1': rho weights its band filter"
+            )
 
     def build_model(self):
         return model_from_config(self.model)
 
     def to_dict(self) -> dict[str, Any]:
         d = dataclasses.asdict(self)
-        d["alpha_grid"] = list(self.alpha_grid)
-        d["n_grid"] = list(self.n_grid)
-        return d
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
 
 
 def default_config(experiment: str) -> ExperimentConfig:
     """Canonical defaults for each experiment, sized for desk runtime."""
-    if experiment in ("pp_plot", "coverage", "test_size"):
-        model = _contaminated_model(40, "d1")
-        return ExperimentConfig(experiment=experiment, model=model)
-    if experiment == "naive_vs_hajek":
-        model = {"family": "elliptic_t", "nu": 8.0, "v_kind": "d1", "p": 40}
-        return ExperimentConfig(experiment=experiment, model=model)
-    if experiment == "threshold_eval":
-        return ExperimentConfig(
-            experiment=experiment,
-            model=_contaminated_model(40, "ar1", rho=0.7),
-            replications=500,
-        )
-    if experiment in ("clime_eval", "linfun_eval"):
-        # lambda* = M a(1 - alpha) with a of order n^{-1/2}: n = 1000 keeps
-        # lambda* below 1, where theta = 0 is infeasible (at n = 100 every
-        # estimate is the all-zero one)
-        return ExperimentConfig(
-            experiment=experiment,
-            model=_contaminated_model(20, "ar1", rho=0.7),
-            p=20,
-            n=1000,
-            replications=50,
-        )
-    # maximal_ineq_scaling (the constructor rejects any other name)
-    return ExperimentConfig(
-        experiment=experiment,
-        model=_contaminated_model(10, "d1"),
-        p=10,
-        replications=200,
-    )
+    if experiment not in _DEFAULTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    model, fields = _DEFAULTS[experiment]
+    return ExperimentConfig(experiment, dict(model), p=model["p"], **fields)
 
 
 def load_config(path: str | Path, experiment: str, **overrides: Any) -> ExperimentConfig:
@@ -229,9 +226,9 @@ def load_config(path: str | Path, experiment: str, **overrides: Any) -> Experime
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     raw.update(overrides)
-    for key in ("alpha_grid", "n_grid"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.type.startswith("tuple[") and isinstance(raw.get(f.name), list):
+            raw[f.name] = tuple(raw[f.name])
     try:
         return ExperimentConfig(**raw)
     except TypeError as exc:

@@ -4,11 +4,14 @@ Every experiment is a pure function of (config, seed): replication r draws
 its randomness from substreams keyed by (seed, experiment tag, r, stage), so
 output is identical for any worker count and rerun.  Each ``run_*`` builds
 what its replications share (the model, Sigma, a derived truth) once and
-binds it to the replication function with ``functools.partial``.
+binds it to the replication function with ``functools.partial``;
+``EXPERIMENTS`` binds the parameters of the runners two experiments share
+the same way.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -54,18 +57,31 @@ class ExperimentResult:
     summary: dict[str, Any]
 
 
-def _map_reps(
-    rep: Callable[[int], Any], cfg: ExperimentConfig, count: int
-) -> list[Any]:
-    """Run replications rep(0), ..., rep(count - 1) in index order,
-    optionally across a pool of at most ``count`` processes (``rep``, a
-    partial holding the run's invariants, is pickled for the workers)."""
+def _map_reps(rep: Callable[[int], Any], cfg: ExperimentConfig) -> list[Any]:
+    """Run replications rep(0), ..., rep(cfg.replications - 1) in index
+    order, optionally across a pool of at most that many processes (``rep``,
+    a partial holding the run's invariants, is pickled for the workers)."""
+    count = cfg.replications
     workers = min(cfg.workers, count)
     if workers <= 1:
         return [rep(r) for r in range(count)]
     chunk = max(1, count // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(rep, range(count), chunksize=chunk))
+
+
+def _columns(records: list[tuple]) -> tuple:
+    """Replication records as one record of column arrays."""
+    return type(records[0])._make(np.array(records).T)
+
+
+def _record_result(records: list[tuple], summary: dict) -> ExperimentResult:
+    """One row per replication record, headed by the record's field names."""
+    return ExperimentResult(
+        columns=list(records[0]._fields),
+        rows=[list(record) for record in records],
+        summary=summary,
+    )
 
 
 def _bootstrap(
@@ -90,28 +106,32 @@ def _bootstrap(
 # coverage: P(||S - Sigma||_sup <= a(alpha)) at the applications scaling
 # ---------------------------------------------------------------------------
 
-# bootstrap scaling (and so the statistic) and whether the summary reports
-# the curve's largest distance from the diagonal
-_CURVES = {"pp_plot": ("raw", True), "coverage": ("applications", False)}
-
 
 def _curve_rep(
-    cfg: ExperimentConfig, model: EllipticalModel, sigma: np.ndarray, r: int
+    cfg: ExperimentConfig,
+    model: EllipticalModel,
+    sigma: np.ndarray,
+    scaling: str,
+    r: int,
 ) -> np.ndarray:
-    scaling, _ = _CURVES[cfg.experiment]
     u, draws = _bootstrap(cfg, model, r, scaling)
     stat = draws.statistic(u, sigma)
     return draws.covers(stat, cfg.alpha_grid)
 
 
-def run_coverage_curve(cfg: ExperimentConfig) -> ExperimentResult:
+def run_coverage_curve(
+    cfg: ExperimentConfig, *, scaling: str, deviation: bool
+) -> ExperimentResult:
+    """Coverage at the bootstrap ``scaling`` (and so statistic); with
+    ``deviation`` the summary reports the curve's largest distance from the
+    diagonal."""
     model = cfg.build_model()
-    rep = partial(_curve_rep, cfg, model, population_sigma(model))
-    hits = np.vstack(_map_reps(rep, cfg, cfg.replications))
+    rep = partial(_curve_rep, cfg, model, population_sigma(model), scaling)
+    hits = np.vstack(_map_reps(rep, cfg))
     coverage = hits.mean(axis=0)
     rows = [[a, c] for a, c in zip(cfg.alpha_grid, coverage)]
     summary = {}
-    if _CURVES[cfg.experiment][1]:
+    if deviation:
         dev = np.abs(coverage - np.asarray(cfg.alpha_grid))
         summary["max_abs_deviation"] = float(np.max(dev))
     return ExperimentResult(
@@ -155,8 +175,8 @@ def run_naive_vs_hajek(cfg: ExperimentConfig) -> ExperimentResult:
     # N(0, Sigma) is the contaminated normal with epsilon = 0
     gaussian = contaminated_normal(sigma, 0.0, 1.0)
     rep = partial(_nvh_rep, cfg, model, sigma, gaussian)
-    res = np.array(_map_reps(rep, cfg, cfg.replications))
-    t_draws, naive_draws, hajek_draws = res[:, 0], res[:, 1], res[:, 2]
+    res = np.array(_map_reps(rep, cfg))
+    t_draws, naive_draws, hajek_draws = res.T
     ks_naive = kolmogorov_distance(t_draws, naive_draws)
     ks_hajek = kolmogorov_distance(t_draws, hajek_draws)
     grid = np.quantile(res.ravel(), np.linspace(0.01, 0.99, 99))
@@ -186,12 +206,12 @@ def banded_model(cfg: ExperimentConfig) -> tuple[EllipticalModel, np.ndarray, in
     the band is filled with the autocovariance of a moving-average filter
     with weights rho^j, j = 0..k0: positive definite by construction
     (spectral density |sum_j rho^j e^{i j w}|^2 > 0) and zero beyond the
-    band, giving zeta_p = min(2 k0 + 1, p) nonzeros per column.
+    band, giving zeta_p = min(2 k0 + 1, p) nonzeros per column.  rho is the
+    model's; the config allows only ``v_kind`` ar1, whose V this replaces.
     """
     model = cfg.build_model()
     k0 = cfg.band_k0
-    rho = 0.5 if cfg.model.get("rho") is None else cfg.model["rho"]
-    c = rho ** np.arange(k0 + 1)
+    c = cfg.model["rho"] ** np.arange(k0 + 1)
     gamma = np.array([np.dot(c[: k0 + 1 - h], c[h:]) for h in range(k0 + 1)])
     gamma /= gamma[0]
     dist = np.abs(np.subtract.outer(np.arange(cfg.p), np.arange(cfg.p)))
@@ -202,13 +222,20 @@ def banded_model(cfg: ExperimentConfig) -> tuple[EllipticalModel, np.ndarray, in
     return banded, sigma, zeta_p
 
 
+_ThresholdRecord = namedtuple(
+    "_ThresholdRecord",
+    "replication tau_star spectral_err frob_err_per_p sup_err event"
+    " bound_rhs_spectral bound_rhs_frob bound_holds tau_delta",
+)
+
+
 def _threshold_rep(
     cfg: ExperimentConfig,
     model: EllipticalModel,
     sigma: np.ndarray,
     zeta_p: int,
     r: int,
-) -> list[float]:
+) -> _ThresholdRecord:
     beta = cfg.beta
     u, draws = _bootstrap(cfg, model, r)
     a = quantile(draws, 1.0 - cfg.alpha)
@@ -225,45 +252,24 @@ def _threshold_rep(
     )
     holds = metrics["spectral"] <= rhs_spec and metrics["frob_per_p"] <= rhs_frob
     tau_delta = cfg.tau_delta_const * np.sqrt(np.log(cfg.p) / cfg.n)
-    return [
-        float(r),
-        tau_star,
-        metrics["spectral"],
-        metrics["frob_per_p"],
-        metrics["sup"],
-        1.0 if event else 0.0,
-        rhs_spec,
-        rhs_frob,
-        1.0 if holds else 0.0,
-        float(tau_delta),
-    ]
+    return _ThresholdRecord(
+        float(r), tau_star, metrics["spectral"], metrics["frob_per_p"],
+        metrics["sup"], 1.0 if event else 0.0, rhs_spec, rhs_frob,
+        1.0 if holds else 0.0, float(tau_delta),
+    )
 
 
 def run_threshold_eval(cfg: ExperimentConfig) -> ExperimentResult:
     rep = partial(_threshold_rep, cfg, *banded_model(cfg))
-    rows = _map_reps(rep, cfg, cfg.replications)
-    arr = np.array(rows)
-    event_rate = float(arr[:, 5].mean())
-    conditional_holds = arr[arr[:, 5] == 1.0, 8]
-    violations = int(np.sum(conditional_holds == 0.0))
-    return ExperimentResult(
-        columns=[
-            "replication",
-            "tau_star",
-            "spectral_err",
-            "frob_err_per_p",
-            "sup_err",
-            "event",
-            "bound_rhs_spectral",
-            "bound_rhs_frob",
-            "bound_holds",
-            "tau_delta",
-        ],
-        rows=rows,
-        summary={
-            "event_rate": event_rate,
-            "conditional_bound_violations": violations,
-            "mean_tau_star": float(arr[:, 1].mean()),
+    records = _map_reps(rep, cfg)
+    col = _columns(records)
+    conditional_holds = col.bound_holds[col.event == 1.0]
+    return _record_result(
+        records,
+        {
+            "event_rate": float(col.event.mean()),
+            "conditional_bound_violations": int(np.sum(conditional_holds == 0.0)),
+            "mean_tau_star": float(col.tau_star.mean()),
         },
     )
 
@@ -300,13 +306,8 @@ def run_test_size(cfg: ExperimentConfig) -> ExperimentResult:
     # off-diagonal for any elliptical law
     ind_model = replace(model, v=np.eye(cfg.p))
     rep = partial(_test_size_rep, cfg, model, population_sigma(model), ind_model)
-    res = np.vstack(_map_reps(rep, cfg, cfg.replications))
-    k = len(cfg.alpha_grid)
-    size_cov = res[:, :k].mean(axis=0)
-    size_ken = res[:, k:].mean(axis=0)
-    rows = [
-        [a, c, t] for a, c, t in zip(cfg.alpha_grid, size_cov, size_ken)
-    ]
+    size_cov, size_ken = np.split(np.vstack(_map_reps(rep, cfg)).mean(axis=0), 2)
+    rows = [[a, c, t] for a, c, t in zip(cfg.alpha_grid, size_cov, size_ken)]
     return ExperimentResult(
         columns=["alpha", "empirical_size_cov", "empirical_size_kendall"],
         rows=rows,
@@ -324,6 +325,17 @@ def _is_zero(estimate: np.ndarray) -> float:
     return float(np.all(np.abs(estimate) <= SUPPORT_TOL))
 
 
+_ClimeRecord = namedtuple(
+    "_ClimeRecord",
+    "replication lambda_star spectral_err frob_err_per_p sup_err feasible"
+    " zero_solution",
+)
+_LinfunRecord = namedtuple(
+    "_LinfunRecord",
+    "replication lambda_star err_l1 err_l2 err_linf feasible zero_solution",
+)
+
+
 def _clime_truth(
     cfg: ExperimentConfig, sigma: np.ndarray
 ) -> tuple[np.ndarray, float]:
@@ -333,22 +345,18 @@ def _clime_truth(
 
 
 def _clime_row(
-    s_hat: np.ndarray, q: float, omega: np.ndarray, m_bound: float
-) -> list[float]:
+    r: float, s_hat: np.ndarray, q: float, omega: np.ndarray, m_bound: float
+) -> _ClimeRecord:
     lam = select_lambda_star(q, m_bound)
     try:
         est = solve_clime(s_hat, lam)
     except ClimeInfeasibleError:
-        return [lam, np.nan, np.nan, np.nan, 0.0, np.nan]
+        return _ClimeRecord(r, lam, np.nan, np.nan, np.nan, 0.0, np.nan)
     metrics = error_metrics(est, omega)
-    return [
-        lam,
-        metrics["spectral"],
-        metrics["frob_per_p"],
-        metrics["sup"],
-        1.0,
+    return _ClimeRecord(
+        r, lam, metrics["spectral"], metrics["frob_per_p"], metrics["sup"], 1.0,
         _is_zero(est),
-    ]
+    )
 
 
 def _linfun_truth(
@@ -364,79 +372,66 @@ def _linfun_truth(
 
 
 def _linfun_row(
+    r: float,
     s_hat: np.ndarray,
     q: float,
     b: np.ndarray,
     theta: np.ndarray,
     m_bound: float,
-) -> list[float]:
+) -> _LinfunRecord:
     lam = select_lambda_star(q, m_bound)
     sol = solve_dantzig_linfun(s_hat, b, lam)
     if sol.theta is None:
-        return [lam, np.nan, np.nan, np.nan, 0.0, np.nan]
+        return _LinfunRecord(r, lam, np.nan, np.nan, np.nan, 0.0, np.nan)
     diff = sol.theta - theta
-    return [
-        lam,
-        float(np.sum(np.abs(diff))),
-        float(np.linalg.norm(diff)),
-        float(np.max(np.abs(diff))),
-        1.0 if sol.feasible else 0.0,
+    return _LinfunRecord(
+        r, lam, float(np.sum(np.abs(diff))), float(np.linalg.norm(diff)),
+        float(np.max(np.abs(diff))), 1.0 if sol.feasible else 0.0,
         _is_zero(sol.theta),
-    ]
-
-
-# the truth built once per run from (cfg, Sigma), the row of (S, a(1 - alpha),
-# *truth) after the replication index, its three error columns, and the one
-# whose mean over feasible replications is reported
-_L1 = {
-    "clime_eval": (
-        _clime_truth,
-        _clime_row,
-        ["spectral_err", "frob_err_per_p", "sup_err"],
-        "spectral_err",
-    ),
-    "linfun_eval": (
-        _linfun_truth,
-        _linfun_row,
-        ["err_l1", "err_l2", "err_linf"],
-        "err_linf",
-    ),
-}
+    )
 
 
 def _l1_rep(
     cfg: ExperimentConfig,
     model: EllipticalModel,
-    row: Callable[..., list[float]],
+    row: Callable[..., tuple],
     truth: tuple,
     r: int,
-) -> list[float]:
+) -> tuple:
     u, draws = _bootstrap(cfg, model, r)
     q = quantile(draws, 1.0 - cfg.alpha)
-    return [float(r), *row(u.u, q, *truth)]
+    return row(float(r), u.u, q, *truth)
 
 
-def run_l1_eval(cfg: ExperimentConfig) -> ExperimentResult:
-    make_truth, row, errors, reported = _L1[cfg.experiment]
-    columns = ["replication", "lambda_star", *errors, "feasible", "zero_solution"]
+def run_l1_eval(
+    cfg: ExperimentConfig,
+    *,
+    truth: Callable[[ExperimentConfig, np.ndarray], tuple],
+    row: Callable[..., tuple],
+    reported: str,
+) -> ExperimentResult:
+    """An l1 estimator tuned at lambda* = M a(1 - alpha): ``truth(cfg,
+    Sigma)`` is built once per run, ``row(r, S, a(1 - alpha), *truth)`` is
+    replication r's record, and the summary reports the mean of its column
+    ``reported`` over feasible replications."""
     model = cfg.build_model()
-    truth = make_truth(cfg, population_sigma(model))
-    rep = partial(_l1_rep, cfg, model, row, truth)
-    rows = _map_reps(rep, cfg, cfg.replications)
-    arr = np.array(rows)
-    ok = arr[:, 5] == 1.0
-    mean_err = arr[ok, columns.index(reported)].mean() if ok.any() else np.nan
-    return ExperimentResult(
-        columns=columns,
-        rows=rows,
-        summary={
+    rep = partial(_l1_rep, cfg, model, row, truth(cfg, population_sigma(model)))
+    records = _map_reps(rep, cfg)
+    col = _columns(records)
+    ok = col.feasible == 1.0
+    mean_err = getattr(col, reported)[ok].mean() if ok.any() else np.nan
+    return _record_result(
+        records,
+        {
             "feasible_rate": float(ok.mean()),
             f"mean_{reported}": float(mean_err),
             # all-zero share among feasible replications (lambda* large
             # enough for theta = 0 to be feasible) and the lambda* range
-            "zero_solution_rate": float(arr[ok, 6].mean()) if ok.any() else np.nan,
-            "lambda_star_min": float(arr[:, 1].min()),
-            "lambda_star_max": float(arr[:, 1].max()),
+            "zero_solution_rate": (
+                float(col.zero_solution[ok].mean()) if ok.any() else np.nan
+            ),
+            "lambda_star_min": float(col.lambda_star.min()),
+            "lambda_star_max": float(col.lambda_star.max()),
         },
     )
 
@@ -472,10 +467,7 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 def run_maximal_ineq_scaling(cfg: ExperimentConfig) -> ExperimentResult:
     model = cfg.build_model()
     rep = partial(_scaling_rep, cfg, model, population_sigma(model))
-    res = np.vstack(_map_reps(rep, cfg, cfg.replications))
-    k = len(cfg.n_grid)
-    mean_can = res[:, :k].mean(axis=0)
-    mean_haj = res[:, k:].mean(axis=0)
+    mean_can, mean_haj = np.split(np.vstack(_map_reps(rep, cfg)).mean(axis=0), 2)
     slope_can = _loglog_slope(np.asarray(cfg.n_grid), mean_can)
     slope_haj = _loglog_slope(np.asarray(cfg.n_grid), mean_haj)
     rows = [
@@ -492,13 +484,17 @@ def run_maximal_ineq_scaling(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 EXPERIMENTS: dict[str, Callable[[ExperimentConfig], ExperimentResult]] = {
-    "pp_plot": run_coverage_curve,
-    "coverage": run_coverage_curve,
+    "pp_plot": partial(run_coverage_curve, scaling="raw", deviation=True),
     "naive_vs_hajek": run_naive_vs_hajek,
+    "coverage": partial(run_coverage_curve, scaling="applications", deviation=False),
     "threshold_eval": run_threshold_eval,
     "test_size": run_test_size,
-    "clime_eval": run_l1_eval,
-    "linfun_eval": run_l1_eval,
+    "clime_eval": partial(
+        run_l1_eval, truth=_clime_truth, row=_clime_row, reported="spectral_err"
+    ),
+    "linfun_eval": partial(
+        run_l1_eval, truth=_linfun_truth, row=_linfun_row, reported="err_linf"
+    ),
     "maximal_ineq_scaling": run_maximal_ineq_scaling,
 }
 

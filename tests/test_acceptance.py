@@ -26,7 +26,7 @@ from ustatboot.estimators import solve_clime, solve_dantzig_linfun
 from ustatboot.gaussian_approx import analytic_gamma_g_elliptical, estimate_gamma_g
 from ustatboot.harness.config import default_config
 from ustatboot.harness.experiments import (
-    run_coverage_curve,
+    run_experiment,
     run_maximal_ineq_scaling,
     run_naive_vs_hajek,
     run_test_size,
@@ -141,7 +141,7 @@ def test_criterion_03_gamma_g_crosscheck():
 
 def test_criterion_04_pp_plot():
     cfg = default_config("pp_plot")
-    res = run_coverage_curve(cfg)
+    res = run_experiment(cfg)
     dev = res.summary["max_abs_deviation"]
     report(4, dev <= 0.06, f"max |coverage - alpha| = {dev:.4f} (<=0.06), "
                            f"{cfg.replications} reps")

@@ -17,6 +17,7 @@ from ustatboot.harness.config import (
     load_config,
 )
 from ustatboot.harness.experiments import (
+    _TAGS,
     EXPERIMENTS,
     _nvh_rep,
     _test_size_rep,
@@ -32,6 +33,20 @@ from ustatboot.lp import SimplexError
 from ustatboot.matstat import NotPositiveDefiniteError, cholesky, sup_norm
 from ustatboot.rngutil import substream
 from ustatboot.ustat import compute_u, sup_stat
+
+
+# each experiment's substream tag; a new experiment goes last so that no
+# existing experiment's streams move
+TAGS = {
+    "pp_plot": 0,
+    "naive_vs_hajek": 1,
+    "coverage": 2,
+    "threshold_eval": 3,
+    "test_size": 4,
+    "clime_eval": 5,
+    "linfun_eval": 6,
+    "maximal_ineq_scaling": 7,
+}
 
 
 def small(experiment, **over):
@@ -50,6 +65,36 @@ def test_default_config_every_experiment():
         assert cfg.build_model().p == cfg.p
     with pytest.raises(ConfigError):
         default_config("nope")
+
+
+def test_experiment_tags_are_pinned():
+    assert _TAGS == TAGS
+    assert list(EXPERIMENT_NAMES) == list(TAGS)
+    assert list(EXPERIMENTS) == list(EXPERIMENT_NAMES)
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_default_config_round_trips_through_json(tmp_path, name):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(default_config(name).to_dict()))
+    assert load_config(path, name) == default_config(name)
+
+
+@pytest.mark.parametrize(
+    "field", dataclasses.fields(ExperimentConfig)[2:], ids=lambda f: f.name
+)
+def test_typed_config_field_rejects_bools_and_strings(field):
+    # JSON true and "1" are no numbers, 1.5 is no integer, and an array
+    # holding any of them is no array of numbers or integers
+    cfg = default_config("maximal_ineq_scaling")
+    default = getattr(cfg, field.name)
+    entry = default[0] if isinstance(default, tuple) else default
+    bad = [True, "1", 1.5] if isinstance(entry, int) else [True, "1"]
+    if isinstance(default, tuple):
+        bad += [(*default, v) for v in bad]
+    for value in bad:
+        with pytest.raises(ConfigError, match=f"^{field.name} "):
+            dataclasses.replace(cfg, **{field.name: value})
 
 
 def test_config_validation():
@@ -164,7 +209,7 @@ def test_worker_pool_is_capped_at_the_replication_count(
 def test_coverage_replication_follows_stream_layout():
     # replication r samples on (tag, r, 0), splits on (tag, r, 1) and draws
     # on (tag, r, 2), with the experiment's index as its tag
-    tag, kernel = EXPERIMENT_NAMES.index("coverage"), CovarianceKernel()
+    tag, kernel = TAGS["coverage"], CovarianceKernel()
     for seed in range(4):
         cfg = small("coverage", replications=1, seed=seed)
         model = cfg.build_model()
@@ -183,7 +228,7 @@ def test_test_size_replication_runs_the_library_tests():
     # replication r samples on (tag, r, 0) and (tag, r, 3) and rejects where
     # the library's covariance and Kendall tests with keys (tag, r, 1) and
     # (tag, r, 4) reject, at every level of the grid
-    tag = EXPERIMENT_NAMES.index("test_size")
+    tag = TAGS["test_size"]
     cfg = small("test_size", seed=3)
     model = cfg.build_model()
     sigma = population_sigma(model)
@@ -211,7 +256,7 @@ def test_test_size_replication_runs_the_library_tests():
 def test_nvh_naive_draw_is_gaussian_ustat_on_its_substream():
     # the naive statistic is the raw sup of the covariance U-statistic of
     # N(0, Sigma) rows drawn on substream (seed, tag, r, 2, 0)
-    tag = EXPERIMENT_NAMES.index("naive_vs_hajek")
+    tag = TAGS["naive_vs_hajek"]
     cfg = small("naive_vs_hajek", seed=5)
     model = cfg.build_model()
     sigma = population_sigma(model)
@@ -328,6 +373,20 @@ def test_cli_config_error_exit_code(tmp_path):
         (
             "test_size",
             {"p": 1, "model": {**default_config("test_size").model, "p": 1}},
+        ),
+        # threshold_eval replaces V by its band filter, so a v_kind other
+        # than ar1 would be silently ignored
+        ("threshold_eval", {"model": {**default_config("test_size").model, "p": 6}}),
+        (
+            "threshold_eval",
+            {
+                "model": {
+                    **default_config("threshold_eval").model,
+                    "v_kind": "identity",
+                    "rho": 0.5,
+                    "p": 6,
+                }
+            },
         ),
     ],
 )
