@@ -39,7 +39,7 @@ from .estimators import (
     threshold_cov,
 )
 from .inference import TestResult, test_covariance, test_kendall, test_ustat_mean
-from .kernels import CovarianceKernel, CustomKernel, Kernel, KendallKernel
+from .kernels import CovarianceKernel, Kernel, KendallKernel
 from .matstat import (
     NotPositiveDefiniteError,
     frobenius_norm,
@@ -91,7 +91,6 @@ __all__ = [
     "test_kendall",
     "test_ustat_mean",
     "CovarianceKernel",
-    "CustomKernel",
     "Kernel",
     "KendallKernel",
     "NotPositiveDefiniteError",

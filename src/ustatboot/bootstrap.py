@@ -251,9 +251,11 @@ def bootstrap_halves(
     and a training half on the substream (seed, *key), then return the
     U-statistic of the main half and b sorted multiplier draws of the
     decoupled estimates of the main half against the training half, drawn
-    on the same key with its last entry plus one."""
-    if not key:
-        raise ValueError("bootstrap_halves needs a nonempty key")
+    on the same key with its last entry plus one.  No key means (0,).  Keys
+    one apart in their last entry share a substream (the draws of one are
+    the split of the other), so independent calls take keys that differ
+    elsewhere or by two or more in the last entry."""
+    key = key or (0,)
     main, train = split_sample(data, seed, *key)
     g = estimate_g_decoupled(main, train, kernel)
     return compute_u(main, kernel), draw_bootstrap(

@@ -92,21 +92,23 @@ def build_v(kind: str, p: int, rho: float | None = None) -> np.ndarray:
 
     ``d1``       -- 0.9 * 11^T + 0.1 * I (strong dependence);
     ``ar1``      -- entries rho^|m-k| (rho=0.7 moderate, rho=0.3 weak);
-    ``identity`` -- independence.
+    ``identity`` -- independence.  Only ``ar1`` takes ``rho``.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     kind = kind.lower()
-    if kind == "d1":
-        return 0.9 * np.ones((p, p)) + 0.1 * np.eye(p)
+    if kind not in _V_KINDS:
+        raise ValueError(f"unknown V kind {kind!r}; expected one of {_V_KINDS}")
     if kind == "ar1":
         if rho is None or not -1.0 < rho < 1.0:
             raise ValueError("ar1 needs rho in (-1, 1)")
         idx = np.arange(p)
         return rho ** np.abs(idx[:, None] - idx[None, :])
-    if kind == "identity":
-        return np.eye(p)
-    raise ValueError(f"unknown V kind {kind!r}; expected one of {_V_KINDS}")
+    if rho is not None:
+        raise ValueError(f"V kind {kind!r} takes no rho")
+    if kind == "d1":
+        return 0.9 * np.ones((p, p)) + 0.1 * np.eye(p)
+    return np.eye(p)
 
 
 def sample(model: EllipticalModel, n: int, seed: SeedLike, *key: int) -> np.ndarray:

@@ -49,12 +49,6 @@ class LinFunSolution:
     l1: float | None
     feasible: bool
 
-    def support(self) -> np.ndarray:
-        """Indices with |theta_j| above the support tolerance."""
-        if self.theta is None:
-            raise ValueError("no solution available")
-        return np.flatnonzero(np.abs(self.theta) > SUPPORT_TOL)
-
 
 def threshold_cov(s_hat: np.ndarray, tau: float) -> np.ndarray:
     """Entrywise hard thresholding with strict inequality |s| > tau."""

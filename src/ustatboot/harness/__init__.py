@@ -1,12 +1,1 @@
 """Experiment harness: configs, runners and the command-line interface."""
-
-from .config import ConfigError, ExperimentConfig, default_config
-from .experiments import EXPERIMENTS, run_experiment
-
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "default_config",
-    "EXPERIMENTS",
-    "run_experiment",
-]

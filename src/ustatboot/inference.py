@@ -42,21 +42,16 @@ def test_ustat_mean(
     *key: int,
     restriction: str = "all",
 ) -> TestResult:
-    """H0: E U = U0 for a generic order-two kernel.
-
-    The key rule is ``bootstrap_halves``': the split uses the substream
-    (seed, *key) and the draws the same key with its last entry plus one.
-    No key means the key (0,).  Keys one apart in their last entry share a
-    substream (the draws of one are the split of the other), so keys of
-    independent tests differ elsewhere or by two or more in the last entry,
-    as test_size's (tag, r, 1) and (tag, r, 4) do."""
+    """H0: E U = U0 for a generic order-two kernel, under the key rule of
+    ``bootstrap_halves``, which keeps test_size's two tests on the keys
+    (tag, r, 1) and (tag, r, 4) independent."""
     check_level(alpha)
     u0 = as_sym(u0)
     p = check_data(data).shape[1]
     if u0.shape != (p, p):
         raise ValueError(f"null matrix shape {u0.shape} does not match p = {p}")
     u, draws = bootstrap_halves(
-        data, kernel, b, "applications", restriction, seed, *(key or (0,))
+        data, kernel, b, "applications", restriction, seed, *key
     )
     stat = draws.statistic(u, u0)
     return TestResult(

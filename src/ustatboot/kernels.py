@@ -2,8 +2,9 @@
 
 Two concrete kernels are provided: the sample-covariance kernel
 h(x1, x2) = (x1 - x2)(x1 - x2)^T / 2 and the Kendall sign-product kernel
-h(x1, x2) = s s^T + 1 with s = sign(x1 - x2).  User kernels plug in
-through :class:`CustomKernel`.
+h(x1, x2) = s s^T + 1 with s = sign(x1 - x2).  A user kernel subclasses
+:class:`Kernel` and defines ``__call__`` (a symmetric p x p matrix per pair
+of rows; the pair-loop ``u_stat`` and ``cross_mean`` reject other shapes).
 
 Besides single-pair evaluation, each kernel exposes two batched operations
 that dominate runtime and are implemented with closed forms / matmuls where
@@ -47,7 +48,6 @@ results are bit-identical to the pair loop of :class:`Kernel`.
 from __future__ import annotations
 
 import threading
-from typing import Callable
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "Kernel",
     "CovarianceKernel",
     "KendallKernel",
-    "CustomKernel",
     "check_data",
 ]
 
@@ -196,6 +195,13 @@ class Kernel:
     def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _pair(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """h(x1, x2), checked p x p: the pair loops would broadcast less."""
+        h = self(x1, x2)
+        if np.shape(h) != (x1.size, x1.size):
+            raise ValueError(f"kernel returned shape {np.shape(h)}, expected p x p")
+        return h
+
     def u_stat(self, data: np.ndarray) -> np.ndarray:
         """C(n,2)^{-1} sum over i<j of h(X_i, X_j)."""
         data = check_data(data)
@@ -203,7 +209,7 @@ class Kernel:
         acc = np.zeros((p, p))
         for i in range(n - 1):
             for j in range(i + 1, n):
-                acc += self(data[i], data[j])
+                acc += self._pair(data[i], data[j])
         return acc / (n * (n - 1) / 2)
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -216,7 +222,7 @@ class Kernel:
         out = np.zeros((xs.shape[0], rows.size))
         for i, x in enumerate(xs):
             for y in ys:
-                out[i] += self(x, y)[rows, cols]
+                out[i] += self._pair(x, y)[rows, cols]
         return out / ys.shape[0]
 
     def _estimates(self, main: np.ndarray, train: np.ndarray) -> DecoupledGEstimates:
@@ -367,29 +373,3 @@ class KendallKernel(Kernel):
         out /= n_y
         return out
 
-
-class CustomKernel(Kernel):
-    """Wrap a user evaluation callback returning a dense p x p matrix.
-
-    The callback must be symmetric in its two arguments and reentrant; with
-    ``debug=True`` symmetry is asserted on every evaluation (doubles cost).
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        debug: bool = False,
-    ):
-        self.fn = fn
-        self.debug = debug
-
-    def __call__(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        x1, x2 = _check_pair(x1, x2)
-        h = np.asarray(self.fn(x1, x2), dtype=np.float64)
-        if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] != x1.shape[0]:
-            raise ValueError(f"custom kernel returned shape {h.shape}, expected p x p")
-        if self.debug:
-            h_swap = np.asarray(self.fn(x2, x1), dtype=np.float64)
-            if not np.allclose(h, h_swap, rtol=0, atol=1e-10):
-                raise ValueError("custom kernel is not symmetric in its arguments")
-        return h

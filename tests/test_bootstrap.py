@@ -49,11 +49,14 @@ def test_split_sample_deterministic():
     assert not np.array_equal(a[0], c[0])
 
 
-def test_bootstrap_halves_needs_a_key():
-    # the split takes the key and the draws its last entry plus one
+def test_bootstrap_halves_without_a_key_uses_key_zero():
+    # the split takes the key and the draws its last entry plus one; no key
+    # means (0,), as for the sup-norm tests
     data = np.random.default_rng(0).standard_normal((12, 3))
-    with pytest.raises(ValueError, match="nonempty key"):
-        bootstrap_halves(data, CovarianceKernel(), 10, "raw", "all", 7)
+    u, draws = bootstrap_halves(data, CovarianceKernel(), 10, "raw", "all", 7)
+    u0, draws0 = bootstrap_halves(data, CovarianceKernel(), 10, "raw", "all", 7, 0)
+    assert np.array_equal(u.u, u0.u)
+    assert np.array_equal(draws.values, draws0.values)
 
 
 def test_estimate_g_decoupled_formula():

@@ -388,6 +388,22 @@ def test_cli_config_error_exit_code(tmp_path):
                 }
             },
         ),
+        # only ar1 reads rho, so another scale would silently ignore it
+        (
+            "coverage",
+            {"model": {**default_config("coverage").model, "rho": 0.3, "p": 6}},
+        ),
+        (
+            "coverage",
+            {
+                "model": {
+                    **default_config("coverage").model,
+                    "v_kind": "identity",
+                    "rho": 0.5,
+                    "p": 6,
+                }
+            },
+        ),
     ],
 )
 def test_cli_degenerate_config_exit_code(tmp_path, name, over):

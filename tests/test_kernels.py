@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ustatboot import kernels
+from ustatboot.bootstrap import bootstrap_halves
+from ustatboot.inference import test_ustat_mean as ustat_mean_test
 from ustatboot.kernels import (
     CovarianceKernel,
-    CustomKernel,
     Kernel,
     KendallKernel,
     _KENDALL_BLOCK,
@@ -248,16 +249,46 @@ def test_kendall_diagonal_is_two_without_ties():
     np.testing.assert_allclose(np.diag(u), 2.0)
 
 
-def test_custom_kernel_checks():
-    good = CustomKernel(lambda a, b: np.outer(a, b) + np.outer(b, a))
-    h = good(np.ones(2), np.arange(2.0))
-    np.testing.assert_array_equal(h, h.T)
-    bad_shape = CustomKernel(lambda a, b: np.outer(a, np.ones(3)))
-    with pytest.raises(ValueError):
-        bad_shape(np.ones(2), np.ones(2))
-    asym = CustomKernel(lambda a, b: np.outer(a, b), debug=True)
-    with pytest.raises(ValueError):
-        asym(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+class PairCovariance(Kernel):
+    """The covariance kernel as a user kernel: ``__call__`` only."""
+
+    def __call__(self, x1, x2):
+        d = x1 - x2
+        return np.outer(d, d) / 2.0
+
+
+def test_user_kernel_plugs_into_the_bootstrap():
+    # a subclass that defines only __call__ runs through the pair loops and
+    # the materialized estimates, and matches the closed forms
+    data = np.random.default_rng(12).standard_normal((30, 4))
+
+    def run(kernel):
+        u, draws = bootstrap_halves(data, kernel, 50, "applications", "all", 5, 2)
+        test = ustat_mean_test(
+            data, kernel, np.eye(4), 0.1, 50, 5, 2, restriction="offdiag"
+        )
+        return u.u, draws.values, test.draws.values, test.statistic
+
+    got, want = run(PairCovariance()), run(CovarianceKernel())
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "value", [lambda d: 1.0, lambda d: d], ids=["scalar", "vector"]
+)
+def test_user_kernel_must_return_a_p_by_p_matrix(value):
+    # the pair loops would broadcast a scalar into U without this check
+    class Bad(Kernel):
+        def __call__(self, x1, x2):
+            return value(x1 - x2)
+
+    data = np.random.default_rng(0).standard_normal((6, 3))
+    with pytest.raises(ValueError, match="expected p x p"):
+        Bad().u_stat(data)
+    with pytest.raises(ValueError, match="expected p x p"):
+        Bad().cross_mean(data, data)
 
 
 def test_check_data_validation():
