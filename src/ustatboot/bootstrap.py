@@ -8,11 +8,12 @@ and read quantiles and decisions off the sorted draws at one rank, ``_rank``.
 The draws never hold the (B, p(p+1)/2) product of the multipliers with
 ghat.  ``draw_bootstrap`` reads ghat one vech column block at a time (the
 entries (j, k), j >= k, of whole matrix columns k, about ``_BLOCK_SIZE`` / n
-of them per block): one GEMM per block, then a running maximum per draw of
-that block's signed max or max |.|.  Each kernel builds its estimates in
-``kernels`` (``Kernel._estimates``), and the estimates decide how a block
-reaches the GEMM (``DecoupledGEstimates.blocks``): as a slice of a
-materialized ghat, or built from factors in one reused buffer.  The (B, n)
+of them per block): one GEMM of the (B, n) multipliers e with the block's
+columns of ghat, then a running maximum per draw of that block's signed max
+or max |.|.  Each kernel builds its estimates in ``kernels``
+(``Kernel._estimates``), and every kernel's estimates hand out ghat's own
+columns (``DecoupledGEstimates.blocks``): a slice of a materialized ghat, or
+the same columns filled from factors in one reused buffer.  The
 multipliers and every work array of a draw come from the per-thread pool of
 ``kernels._work_array``, so repeated draws at one shape allocate none of
 them; what a draw returns is always a new array.
@@ -55,14 +56,14 @@ __all__ = [
 
 # doubles per draw block of ghat (n rows by its vech columns, 512 KB): a
 # block takes whole matrix columns until it holds this many, about 330 vech
-# columns at n = 200, so that its operand and product stay in cache
+# columns at n = 200, so that the block and its product stay in cache
 _BLOCK_SIZE = 2**16
 
 
-def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int, np.ndarray]]:
-    """(k0, k1, lo, hi, diag) per block of a ghat with n rows: matrix columns
-    k0..k1-1, which fill the vech positions lo..hi-1, and the block offsets
-    of their diagonal entries (k, k), each the first of its column, as an
+def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, np.ndarray]]:
+    """(k0, lo, hi, diag) per block of a ghat with n rows: the vech positions
+    lo..hi-1 of whole matrix columns from k0 on, and the block offsets of
+    their diagonal entries (k, k), each the first of its column, as an
     ``np.intp`` index array."""
     blocks = []
     k0 = lo = 0
@@ -72,7 +73,7 @@ def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, int, np.ndarray]
             diag.append(hi - lo)
             hi += p - k1
             k1 += 1
-        blocks.append((k0, k1, lo, hi, np.array(diag, np.intp)))
+        blocks.append((k0, lo, hi, np.array(diag, np.intp)))
         k0, lo = k1, hi
     return blocks
 
@@ -217,13 +218,13 @@ def draw_bootstrap(
     check_maximum(scaling, restriction, g.p)
     n = g.n
     schedule = _column_blocks(g.p, n)
-    width = max(hi - lo for _, _, lo, hi, _ in schedule)
+    width = max(hi - lo for _, lo, hi, _ in schedule)
     out = _work_array("bootstrap.product", (b, width))
     values = np.full(b, -np.inf)
     e = _work_array("bootstrap.multipliers", (b, n))
     substream(seed, *key).standard_normal(out=e)
-    for (*_, diag), (a, x) in zip(schedule, g.blocks(e, schedule)):
-        s = np.matmul(a, x, out=out[:, : x.shape[1]])
+    for (*_, diag), x in zip(schedule, g.blocks(schedule)):
+        s = np.matmul(e, x, out=out[:, : x.shape[1]])
         block_max = entry_max(s, diag, scaling, restriction)
         np.maximum(values, block_max, out=values)
     if not values.any():

@@ -59,6 +59,8 @@ class EllipticalModel:
             if self.nu <= 4:
                 # fourth moments must exist for the kurtosis parameter
                 raise ValueError("elliptic t needs nu > 4")
+            if self.epsilon is not None:
+                raise ValueError("elliptic t takes no epsilon")
         else:
             raise ValueError(f"unknown family {self.family!r}")
         try:  # a huge contamination scale overflows nu^2 or nu^4

@@ -84,6 +84,8 @@ _JSON_TYPES = {"int": (_is_int, "integer"), "float": (_is_real, "number")}
 def model_from_config(cfg: dict[str, Any]) -> EllipticalModel:
     """Build a model from its JSON description, the config's ``model`` dict;
     raises ConfigError."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("model must be a JSON object")
     unknown = set(cfg) - {"family", "nu", "v_kind", "p", "epsilon", "rho"}
     if unknown:
         raise ConfigError(f"unknown model config keys: {sorted(unknown)}")

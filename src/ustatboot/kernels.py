@@ -19,11 +19,15 @@ possible:
   array is built.
 
 Each kernel builds the decoupled Hajek estimates of
-``bootstrap.estimate_g_decoupled`` (``Kernel._estimates``).  By default
+``bootstrap.estimate_g_decoupled`` (``Kernel._estimates``), which hand
+ghat's own columns to the draws in blocks.  By default
 ghat = ``cross_mean(main, train)`` - vech(``u_stat(train)``) is materialized
 (:class:`DecoupledGEstimates`).  Covariance ghat (j, k) is
-d_j * d_k / 2 + D_jk with d = main - mean(train) and D = C / 2 - U(train),
-so its estimates keep d^T and vech(C) and build each draw block from them.
+d_j * (d_k / 2) + C_jk / 2 - U_jk with d = main - mean(train), C the mean
+of the training half's centred outer products and U = U(train); its
+estimates keep only d^T, d^T / 2, vech(C) / 2 and vech(U) and fill each
+block from them.  That is a storage choice: halving is exact, so every
+column equals the materialized one bit for bit, and so do the draws.
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
 h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
@@ -179,13 +183,12 @@ class DecoupledGEstimates:
     def p(self) -> int:
         return self.train_u.shape[0]
 
-    def blocks(self, e: np.ndarray, schedule: list):
-        """Yield (a, x) per block (k0, k1, lo, hi, diag) of the
-        ``bootstrap._column_blocks`` schedule, with a @ x = e @ g_hat[:, lo:hi] for the
-        (b, n) multipliers e.  Each a and x is valid until the next block is
-        asked for."""
-        for _, _, lo, hi, _ in schedule:
-            yield e, self.g_hat[:, lo:hi]
+    def blocks(self, schedule: list):
+        """Yield the columns g_hat[:, lo:hi] per block (k0, lo, hi, diag) of
+        the ``bootstrap._column_blocks`` schedule, each valid until the next
+        block is asked for."""
+        for _, lo, hi, _ in schedule:
+            yield self.g_hat[:, lo:hi]
 
 
 class Kernel:
@@ -234,72 +237,57 @@ class Kernel:
         return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
 
 
-def _cross_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d^T, vech(C)) with d = xs - ybar as a contiguous (p, n_x) array and C
-    the mean of (y_j - ybar)(y_j - ybar)^T, so that the covariance kernel's
-    mean_j h(x_i, y_j) = (d_i d_i^T + C) / 2."""
+def _cross_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(d^T, d^T / 2, vech(C) / 2) with d = xs - ybar as contiguous (p, n_x)
+    arrays and C the mean of (y_j - ybar)(y_j - ybar)^T, so that the
+    covariance kernel's mean_j h(x_i, y_j) = (d_i d_i^T + C) / 2."""
     xs, ys = _check_samples(xs, ys)
     ybar = ys.mean(axis=0)
     cy = ys - ybar
     d_t = np.subtract(xs.T, ybar[:, None], order="C")
-    return d_t, vech((cy.T @ cy) / ys.shape[0])
+    return d_t, d_t / 2.0, vech(cy.T @ cy) / (2 * ys.shape[0])
 
 
-def _vech_outer_rows(d_t: np.ndarray, k0: int, k1: int, out: np.ndarray) -> None:
-    """Into ``out``, one row d_t[j] * d_t[k] per vech position (j, k), j >= k,
-    of matrix columns k0..k1-1: the outer products d_i d_i^T of the columns
-    d_i of ``d_t`` (p x n), half-vectorized and transposed."""
-    p = d_t.shape[0]
-    start = 0
-    for k in range(k0, k1):
-        np.multiply(d_t[k:], d_t[k], out=out[start : start + p - k])
-        start += p - k
-
-
-def _mean_from_factors(d_t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The covariance kernel's ``cross_mean`` from its factors (d^T, vech(C))
-    of ``_cross_factors``: a new (n_x, p(p+1)/2) array, one product per vech
-    position and no (n_x, p, p) array."""
-    out = np.empty((c.size, d_t.shape[1]))
-    _vech_outer_rows(d_t, 0, d_t.shape[0], out)
-    out += c[:, None]
-    out /= 2.0
-    return out.T
+def _vech_rows(factors: tuple, u: np.ndarray | None, k0: int, lo: int, out: np.ndarray):
+    """Fill and return ``out`` with the rows for vech positions lo, lo + 1,
+    ... (the first is (k0, k0)) of the covariance kernel's mean over the
+    second sample less vech(U) = ``u`` (None for none): row (j, k) is
+    d_j * (d_k / 2) + C_jk / 2 - U_jk for the ``_cross_factors``.  Halving is
+    exact, so that is (d_j d_k + C_jk) / 2 - U_jk bit for bit."""
+    d_t, half_d_t, half_c = factors
+    p, start, k, hi = d_t.shape[0], 0, k0, lo + len(out)
+    while start < len(out):
+        np.multiply(d_t[k:], half_d_t[k], out=out[start : start + p - k])
+        start, k = start + p - k, k + 1
+    out += half_c[lo:hi, None]
+    if u is not None:
+        out -= u[lo:hi, None]
+    return out
 
 
 class _CovarianceEstimates(DecoupledGEstimates):
-    """Covariance-kernel ghat from its factors: column (j, k) is
-    (d_j * d_k + C_jk) / 2 - U_jk with d^T = ``d_t`` (p x n), vech(C) = ``c``
-    and U = ``train_u``.  Only ``g_hat`` builds the (n, p(p+1)/2) matrix."""
+    """Covariance-kernel ghat from its ``_cross_factors``: column (j, k) is
+    d_j * (d_k / 2) + C_jk / 2 - U_jk with U = ``train_u``.  Only ``g_hat``
+    builds the (n, p(p+1)/2) matrix; ``blocks`` fills its columns in one
+    reused buffer."""
 
-    def __init__(self, d_t: np.ndarray, c: np.ndarray, train_u: np.ndarray):
-        self._d_t = d_t
-        self._c = c
+    def __init__(self, factors: tuple[np.ndarray, ...], train_u: np.ndarray):
+        self._factors = factors
+        self._u = vech(train_u)
         self.train_u = train_u
-        self.n = d_t.shape[1]
+        self.n = factors[0].shape[1]
 
     @property
     def g_hat(self) -> np.ndarray:
         """ghat built on demand, bit for bit ``cross_mean`` - vech(U)."""
-        out = _mean_from_factors(self._d_t, self._c)
-        out -= vech(self.train_u)
-        return out
+        out = np.empty((self._u.size, self.n))
+        return _vech_rows(self._factors, self._u, 0, 0, out).T
 
-    def blocks(self, e: np.ndarray, schedule: list):
-        # [e / 2 | row sums of e] @ [d_j * d_k | D_jk]^T folds the halving
-        # and the constant D = C / 2 - U into the GEMM
-        n = self.n
-        a = _work_array("bootstrap.operand", (e.shape[0], n + 1))
-        np.multiply(e, 0.5, out=a[:, :n])
-        a[:, n] = e.sum(axis=1)
-        const = self._c / 2.0 - vech(self.train_u)
-        width = max(hi - lo for _, _, lo, hi, _ in schedule)
-        buf = _work_array("bootstrap.block", (width, n + 1))
-        for k0, k1, lo, hi, _ in schedule:
-            rows = buf[: hi - lo]
-            _vech_outer_rows(self._d_t, k0, k1, rows[:, :n])
-            rows[:, n] = const[lo:hi]
-            yield a, rows.T
+    def blocks(self, schedule: list):
+        width = max(hi - lo for _, lo, hi, _ in schedule)
+        buf = _work_array("bootstrap.block", (width, self.n))
+        for k0, lo, hi, _ in schedule:
+            yield _vech_rows(self._factors, self._u, k0, lo, buf[: hi - lo]).T
 
 
 class CovarianceKernel(Kernel):
@@ -318,11 +306,13 @@ class CovarianceKernel(Kernel):
         return (c.T @ c) / (n - 1)
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return _mean_from_factors(*_cross_factors(xs, ys))
+        factors = _cross_factors(xs, ys)
+        d_t, _, half_c = factors
+        return _vech_rows(factors, None, 0, 0, np.empty((half_c.size, d_t.shape[1]))).T
 
     def _estimates(self, main: np.ndarray, train: np.ndarray) -> DecoupledGEstimates:
         # only the factors of ghat are kept (see the module docstring)
-        return _CovarianceEstimates(*_cross_factors(main, train), self.u_stat(train))
+        return _CovarianceEstimates(_cross_factors(main, train), self.u_stat(train))
 
 
 class KendallKernel(Kernel):

@@ -14,6 +14,7 @@ from ustatboot.bootstrap import (
     BootstrapDraws,
     DecoupledGEstimates,
     DegenerateBootstrapError,
+    _column_blocks,
     bootstrap_halves,
     draw_bootstrap,
     estimate_g_decoupled,
@@ -288,6 +289,9 @@ def test_blocked_draws_match_the_unblocked_product(kernel, p):
     # into many column blocks
     data = np.random.default_rng(p).standard_normal((41, p)) + 3.0
     g = estimate_g_decoupled(*split_sample(data, 3, 1), kernel)
+    # every kernel's blocks are g_hat's own columns, bit for bit
+    blocks = [x.copy() for x in g.blocks(_column_blocks(p, g.n))]
+    np.testing.assert_array_equal(np.hstack(blocks), g.g_hat)
     if isinstance(kernel, KendallKernel) and p == 1:
         # h = sign(x1 - x2)^2 + 1 = 2 on untied pairs, so g_hat is 0
         with pytest.raises(DegenerateBootstrapError):
@@ -298,6 +302,22 @@ def test_blocked_draws_match_the_unblocked_product(kernel, p):
             got = draw_bootstrap(g, 30, scaling, restriction, 3, 2).values
             want = _unblocked_draws(g, 30, scaling, restriction, 3, 2)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, p", [(200, 40), (1000, 20), (21, 300), (50, 3)])
+def test_covariance_draws_equal_the_materialized_draws(n, p):
+    # the covariance estimates fill g_hat's columns from its factors, which is
+    # only a storage choice: the draws of the same g_hat materialized are the
+    # same bits, at (21, 300) across many column blocks
+    data = np.random.default_rng(n + p).standard_normal((2, n, p)) + 3.0
+    g = estimate_g_decoupled(*data, CovarianceKernel())
+    materialized = DecoupledGEstimates(g.g_hat, g.train_u)
+    for scaling in SCALINGS:
+        for restriction in RESTRICTIONS:
+            np.testing.assert_array_equal(
+                draw_bootstrap(g, 200, scaling, restriction, 4, 1).values,
+                draw_bootstrap(materialized, 200, scaling, restriction, 4, 1).values,
+            )
 
 
 def test_covariance_bootstrap_peak_memory_is_blocked():
@@ -339,9 +359,9 @@ def test_draws_never_alias_the_pool(kernel):
 
 
 def test_repeated_covariance_draw_allocates_no_work_arrays():
-    # at n = 1000, B = 200 the multipliers and [e/2 | row sums] are 1.6 MB
-    # each; a second draw of the same shapes takes both, the block buffer
-    # and the product buffer from the pool
+    # at n = 1000, B = 200 the multipliers are 1.6 MB; a second draw of the
+    # same shapes takes them, the block buffer and the product buffer from
+    # the pool
     n, p, b = 1000, 20, 200
     g = estimate_g_decoupled(
         *np.random.default_rng(3).standard_normal((2, n, p)), CovarianceKernel()
@@ -391,8 +411,8 @@ def test_concurrent_draws_match_serial_draws():
 
 
 def test_pool_keeps_nothing_above_its_cap():
-    # (B, n) multipliers of 8.8 MB, and [e/2 | row sums] as large, exceed
-    # the cap: they are allocated for this draw and dropped
+    # (B, n) multipliers of 8.8 MB exceed the cap: they are allocated for
+    # this draw and dropped
     n, b = 1000, 1100
     assert b * n * 8 > kernels._POOL_BYTES
     g = estimate_g_decoupled(

@@ -435,6 +435,33 @@ def test_cli_nested_model_field_exit_code(tmp_path, field, values):
         assert cli_main(["threshold_eval", "--config", str(path)]) == 2
 
 
+def test_cli_elliptic_t_epsilon_exit_code(tmp_path, capsys):
+    # only the contaminated normal reads epsilon: under elliptic_t it would
+    # run the same model as without it
+    cfg = small("naive_vs_hajek", replications=1)
+    model = {**cfg.model, "epsilon": 0.9}
+    with pytest.raises(ConfigError, match="elliptic t takes no epsilon"):
+        dataclasses.replace(cfg, model=model)
+    dataclasses.replace(cfg, model={**cfg.model, "epsilon": None})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg.to_dict(), "model": model}))
+    assert cli_main(["naive_vs_hajek", "--config", str(path)]) == 2
+    assert "elliptic t takes no epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model", [5, None, "x", [1, 2]], ids=["int", "null", "string", "array"]
+)
+def test_cli_model_not_an_object_exit_code(tmp_path, capsys, model):
+    cfg = small("coverage", replications=1)
+    with pytest.raises(ConfigError, match="^model must be a JSON object$"):
+        dataclasses.replace(cfg, model=model)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg.to_dict(), "model": model}))
+    assert cli_main(["coverage", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: model must be a JSON object\n"
+
+
 def test_cli_requires_experiment():
     assert cli_main([]) == 2
 
