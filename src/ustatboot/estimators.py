@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpProblem, solve_lp
+from .lp import LpProblem, solve_lps
 from .matstat import frobenius_norm, spectral_norm, sup_norm
 
 __all__ = [
@@ -89,31 +89,27 @@ def error_metrics(estimate: np.ndarray, truth: np.ndarray) -> dict[str, float]:
     }
 
 
-def _dantzig_lp(s_hat: np.ndarray) -> LpProblem:
-    """The Dantzig LP in w = w+ - w-: c = 1 and the constraint block
-    [[S, -S], [-S, S]] of |S w - b|_inf <= lambda, validated once; neither
-    depends on b or lambda, so each right-hand side comes from ``with_rhs``."""
+def _dantzig_solutions(s_hat: np.ndarray, b: np.ndarray, lam: float) -> list:
+    """min |w|_1 s.t. |S w - b_i|_inf <= lambda for each row b_i of ``b``
+    (k, p) and a validated S, as LPs in w = w+ - w- with c = 1, the block
+    [[S, -S], [-S, S]] and the stacked right-hand sides [lambda + b_i |
+    lambda - b_i], in one pass; each solution carries its residual check."""
     p = s_hat.shape[0]
-    block = np.block([[s_hat, -s_hat], [-s_hat, s_hat]])
-    return LpProblem(c=np.ones(2 * p), a_ub=block, b_ub=np.zeros(2 * p))
-
-
-def _solve_dantzig(
-    s_hat: np.ndarray, base: LpProblem, b: np.ndarray, lam: float
-) -> LinFunSolution:
-    """The Dantzig LP for validated S, its LP and b."""
-    p = b.size
-    sol = solve_lp(base.with_rhs(np.concatenate([lam + b, lam - b])))
-    if sol.status != "optimal":
-        return LinFunSolution(theta=None, lam=lam, l1=None, feasible=False)
-    theta = sol.x[:p] - sol.x[p:]
-    residual = float(np.max(np.abs(s_hat @ theta - b)))
-    return LinFunSolution(
-        theta=theta,
-        lam=lam,
-        l1=float(np.sum(np.abs(theta))),
-        feasible=residual <= lam + FEAS_TOL,
+    problem = LpProblem(
+        c=np.ones(2 * p),
+        a_ub=np.block([[s_hat, -s_hat], [-s_hat, s_hat]]),
+        b_ub=np.hstack([lam + b, lam - b]),
     )
+    out = []
+    for b_i, sol in zip(b, solve_lps(problem)):
+        if sol.status != "optimal":
+            out.append(LinFunSolution(None, lam, None, feasible=False))
+            continue
+        theta = sol.x[:p] - sol.x[p:]
+        residual = float(np.max(np.abs(s_hat @ theta - b_i)))
+        l1 = float(np.sum(np.abs(theta)))
+        out.append(LinFunSolution(theta, lam, l1, residual <= lam + FEAS_TOL))
+    return out
 
 
 def solve_dantzig_linfun(
@@ -131,32 +127,25 @@ def solve_dantzig_linfun(
     p = b.size
     if s_hat.shape != (p, p):
         raise ValueError(f"S shape {s_hat.shape} incompatible with b length {p}")
-    return _solve_dantzig(s_hat, _dantzig_lp(s_hat), b, lam)
+    return _dantzig_solutions(s_hat, b[None], lam)[0]
 
 
 def solve_clime(s_hat: np.ndarray, lam: float) -> np.ndarray:
     """CLIME precision-matrix estimate: p column problems
     min |theta|_1 s.t. |S theta - e_k|_inf <= lambda, symmetrized by keeping
     the smaller-magnitude entry of each (m, k) pair.  The p LPs share c = 1
-    and one validated constraint block and differ only in e_k; each is
-    solved on its own from the slack basis."""
+    and the constraint block and differ only in e_k; they are solved as one
+    stack, each from the slack basis."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     s_hat = np.asarray(s_hat, dtype=np.float64)
     p = s_hat.shape[0]
     if s_hat.shape != (p, p):
         raise ValueError(f"S must be square, got shape {s_hat.shape}")
-    base = _dantzig_lp(s_hat)
-    eye = np.eye(p)
-    columns = np.empty((p, p))
-    bad: list[int] = []
-    for k in range(p):
-        est = _solve_dantzig(s_hat, base, eye[k], lam)
-        if est.theta is None or not est.feasible:
-            bad.append(k)
-        else:
-            columns[:, k] = est.theta
+    sols = _dantzig_solutions(s_hat, np.eye(p), lam)
+    bad = [k for k, est in enumerate(sols) if est.theta is None or not est.feasible]
     if bad:
         raise ClimeInfeasibleError(bad)
+    columns = np.reshape([est.theta for est in sols], (p, p)).T
     smaller = np.abs(columns) <= np.abs(columns.T)
     return np.where(smaller, columns, columns.T)

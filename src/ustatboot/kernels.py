@@ -237,15 +237,16 @@ class Kernel:
         return DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
 
 
-def _cross_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(d^T, d^T / 2, vech(C) / 2) with d = xs - ybar as contiguous (p, n_x)
-    arrays and C the mean of (y_j - ybar)(y_j - ybar)^T, so that the
-    covariance kernel's mean_j h(x_i, y_j) = (d_i d_i^T + C) / 2."""
+def _cross_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """(d^T, d^T / 2, vech(G) / (2 n_y)) with d = xs - ybar as contiguous
+    (p, n_x) arrays, so that the covariance kernel's mean_j h(x_i, y_j) =
+    (d_i d_i^T + G / n_y) / 2; and the centred Gram G of ``ys`` itself."""
     xs, ys = _check_samples(xs, ys)
     ybar = ys.mean(axis=0)
     cy = ys - ybar
+    gram = cy.T @ cy
     d_t = np.subtract(xs.T, ybar[:, None], order="C")
-    return d_t, d_t / 2.0, vech(cy.T @ cy) / (2 * ys.shape[0])
+    return (d_t, d_t / 2.0, vech(gram) / (2 * ys.shape[0])), gram
 
 
 def _vech_rows(factors: tuple, u: np.ndarray | None, k0: int, lo: int, out: np.ndarray):
@@ -306,13 +307,14 @@ class CovarianceKernel(Kernel):
         return (c.T @ c) / (n - 1)
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        factors = _cross_factors(xs, ys)
+        factors, _ = _cross_factors(xs, ys)
         d_t, _, half_c = factors
         return _vech_rows(factors, None, 0, 0, np.empty((half_c.size, d_t.shape[1]))).T
 
     def _estimates(self, main: np.ndarray, train: np.ndarray) -> DecoupledGEstimates:
-        # only the factors of ghat are kept (see the module docstring)
-        return _CovarianceEstimates(_cross_factors(main, train), self.u_stat(train))
+        # only ghat's factors are kept (module docstring); U(train) = G / (n - 1)
+        factors, gram = _cross_factors(main, train)
+        return _CovarianceEstimates(factors, gram / (train.shape[0] - 1))
 
 
 class KendallKernel(Kernel):

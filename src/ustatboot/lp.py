@@ -9,15 +9,20 @@ is the whole solve: it drives the rhs to >= 0, or finds a row that proves
 the problem infeasible.  Bland's rule (smallest basic index leaves, ties in
 the entering ratio to the smallest index) keeps it from cycling.
 
+A problem may carry a stack of k right-hand sides for one c and A, as the
+p CLIME column problems do.  ``solve_lps`` runs one pass over the k
+tableaux: each step gives every unfinished problem the pivot it would take
+alone, so each solution is bit for bit that of its right-hand side alone.
+
 The pass ends with rhs >= 0, and the solve then checks the other half of the
 optimality certificate: every reduced cost >= -_TOL.  The entering column is
 the first within _TOL of the minimum ratio, so one pivot on row L can leave
 a reduced cost as low as -_TOL * |a_Lj|; none of 6,466 measured optimal
 solves did, and a failure raises SimplexError.
 
-x is read from the final basis alone: one linear solve with the basic
-columns of [A I] in sorted index order.  Intended for the CLIME / Dantzig
-column problems (c = 1, a few hundred variables at most).
+x is read from the final basis alone: one batched linear solve with each
+optimal problem's basic columns of [A I] in sorted index order.  Intended
+for the CLIME / Dantzig column problems (c = 1, a few hundred variables).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LpProblem", "LpSolution", "SimplexError", "solve_lp"]
+__all__ = ["LpProblem", "LpSolution", "SimplexError", "solve_lp", "solve_lps"]
 
 _TOL = 1e-9
 _MAX_ITER = 50_000
@@ -36,18 +41,10 @@ class SimplexError(RuntimeError):
     """Iteration cap exceeded, or a final basis with a reduced cost < -_TOL."""
 
 
-def _checked_rhs(b_ub, m: int | None = None) -> np.ndarray:
-    b = np.asarray(b_ub, dtype=np.float64).ravel()
-    if m is not None and b.size != m:
-        raise ValueError(f"b has {b.size} entries, A has {m} rows")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("LP data must be finite")
-    return b
-
-
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min c^T x  s.t.  A x <= b,  x >= 0,  with c >= 0."""
+    """min c^T x  s.t.  A x <= b,  x >= 0,  with c >= 0; ``b_ub`` is one
+    right-hand side (m,) or a stack of them (k, m)."""
 
     c: np.ndarray
     a_ub: np.ndarray
@@ -56,28 +53,18 @@ class LpProblem:
     def __post_init__(self):
         c = np.asarray(self.c, dtype=np.float64)
         a = np.atleast_2d(np.asarray(self.a_ub, dtype=np.float64))
-        b = _checked_rhs(self.b_ub)
-        if a.shape != (b.size, c.size):
+        b = np.atleast_1d(np.asarray(self.b_ub, dtype=np.float64))
+        if b.ndim > 2 or a.shape != (b.shape[-1], c.size):
             raise ValueError(
                 f"inconsistent dimensions: c has {c.size} entries, "
-                f"A is {a.shape}, b has {b.size}"
+                f"A is {a.shape}, b is {b.shape}"
             )
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a))):
+        if not all(np.all(np.isfinite(v)) for v in (c, a, b)):
             raise ValueError("LP data must be finite")
         if np.any(c < 0):
             raise ValueError("c must be >= 0")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a_ub", a)
-        object.__setattr__(self, "b_ub", b)
-
-    def with_rhs(self, b_ub) -> LpProblem:
-        """The same validated c and A with a new right-hand side; only b is
-        checked."""
-        new = object.__new__(LpProblem)
-        object.__setattr__(new, "c", self.c)
-        object.__setattr__(new, "a_ub", self.a_ub)
-        object.__setattr__(new, "b_ub", _checked_rhs(b_ub, self.a_ub.shape[0]))
-        return new
+        for name, value in (("c", c), ("a_ub", a), ("b_ub", b)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,57 +76,78 @@ class LpSolution:
     pivots: int
 
 
-def _pivot(tab: np.ndarray, row: int, col: int) -> None:
-    """Gauss-Jordan pivot on (row, col) as one rank-1 update of the rows
-    with a nonzero factor in the pivot column."""
-    tab[row] /= tab[row, col]
-    f = tab[:, col].copy()
-    f[row] = 0.0
-    nz = np.flatnonzero(f)
-    tab[nz] -= np.outer(f[nz], tab[row])
+def _pivot(tabs: np.ndarray, probs: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Gauss-Jordan pivot of each tableau tabs[probs[i]] on (rows[i],
+    cols[i]) as one rank-1 update: the pivot row is divided by its pivot,
+    and every other row loses its pivot-column factor times that row."""
+    prow = tabs[probs, rows] / tabs[probs, rows, cols][:, None]
+    f = tabs[probs, :, cols]
+    f[np.arange(probs.size), rows] = 0.0
+    tabs[probs, rows] = prow
+    tabs[probs] -= f[:, :, None] * prow[:, None, :]
 
 
-def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ncols: int) -> tuple[str, int]:
-    """Restore a nonnegative rhs from a dual-feasible tableau (reduced costs
-    >= 0 in the last row) over the first ``ncols`` columns.  The leaving row
-    is the infeasible row with the smallest basic index; the entering column
-    has the minimum ratio, ties (within _TOL) to the smallest index.  Returns
-    the status ("optimal" or "infeasible") and the number of pivots."""
-    m = tab.shape[0] - 1
+def _dual_simplex(tabs: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Restore a nonnegative rhs in each tableau of the stack ``tabs``
+    (k, m + 1, ncols + 1), in place, from a dual-feasible basis (reduced
+    costs >= 0 in the last row) whose basic columns are ``basis`` (k, m).
+    The leaving row is the infeasible row with the smallest basic index; the
+    entering column has the minimum ratio, ties (within _TOL) to the smallest
+    index.  Returns the mask of the optimal problems (the others are
+    infeasible) and the pivots of each."""
+    (k, m), ncols = basis.shape, tabs.shape[2] - 1
+    optimal, pivots = np.zeros(k, dtype=bool), np.zeros(k, dtype=np.int64)
+    if m == 0:  # no constraint: the slack basis is optimal
+        return ~optimal, pivots
+    live = np.arange(k)
     for it in range(_MAX_ITER):
-        rows = np.flatnonzero(tab[:m, -1] < -_TOL)
-        if rows.size == 0:
-            return "optimal", it
-        leaving = rows[np.argmin(basis[rows])]
-        line = tab[leaving, :ncols]
-        cols = np.flatnonzero(line < -_TOL)
-        if cols.size == 0:
-            # the row reads sum_j a_j x_j = rhs < 0 with every a_j >= 0
-            return "infeasible", it
-        ratios = tab[-1, cols] / -line[cols]
-        entering = cols[np.flatnonzero(ratios <= ratios.min() + _TOL)[0]]
-        _pivot(tab, leaving, entering)
-        basis[leaving] = entering
+        bad = tabs[live, :m, -1] < -_TOL
+        leaving = np.where(bad, basis[live], ncols).argmin(axis=1)
+        line = tabs[live, leaving, :ncols]
+        enters = line < -_TOL
+        # optimal: no rhs < 0; infeasible: a row sum_j a_j x_j = rhs < 0, a >= 0
+        opt, done = ~bad.any(axis=1), ~enters.any(axis=1)
+        optimal[live[opt]] = True
+        pivots[live[opt | done]] = it
+        keep = ~(opt | done)
+        live, leaving, line, enters = (v[keep] for v in (live, leaving, line, enters))
+        if live.size == 0:
+            return optimal, pivots
+        ratios = np.full(line.shape, np.inf)
+        np.divide(tabs[live, -1, :ncols], -line, out=ratios, where=enters)
+        entering = (ratios <= ratios.min(axis=1, keepdims=True) + _TOL).argmax(axis=1)
+        _pivot(tabs, live, leaving, entering)
+        basis[live, leaving] = entering
     raise SimplexError(f"dual simplex exceeded {_MAX_ITER} iterations")
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """One dual simplex pass from the slack basis, then the reduced-cost check."""
-    c, a, b = problem.c, problem.a_ub, problem.b_ub
-    m, n = a.shape
+def solve_lps(problem: LpProblem) -> list[LpSolution]:
+    """One dual simplex pass from the slack basis over the stack of
+    right-hand sides, then the reduced-cost check; a solution for each."""
+    c, a, b = problem.c, problem.a_ub, np.atleast_2d(problem.b_ub)
+    (m, n), k = a.shape, len(b)
     ncols = n + m  # structural + slack columns
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :n] = a
-    tab[:m, n:ncols] = np.eye(m)
-    tab[:m, -1] = b
-    tab[-1, :n] = c
-    basis = np.arange(n, ncols)
-    status, pivots = _dual_simplex(tab, basis, ncols)
-    if status == "infeasible":
-        return LpSolution("infeasible", None, None, pivots)
-    if np.any(tab[-1, :ncols] < -_TOL):
+    slack = np.hstack([a, np.eye(m)])
+    tabs = np.zeros((k, m + 1, ncols + 1))
+    tabs[:, :m, :ncols], tabs[:, :m, -1], tabs[:, -1, :n] = slack, b, c
+    basis = np.tile(np.arange(n, ncols), (k, 1))
+    optimal, pivots = _dual_simplex(tabs, basis)
+    if np.any(tabs[optimal, -1, :ncols] < -_TOL):
         raise SimplexError("dual simplex ended with a negative reduced cost")
-    order = np.sort(basis)
-    x = np.zeros(ncols)
-    x[order] = np.linalg.solve(np.hstack([a, np.eye(m)])[:, order], b)
-    return LpSolution("optimal", x[:n], float(c @ x[:n]), pivots)
+    order = np.sort(basis[optimal], axis=1)
+    x = np.zeros((k, ncols))
+    x[np.flatnonzero(optimal)[:, None], order] = np.linalg.solve(
+        np.moveaxis(slack[:, order], 1, 0), b[optimal, :, None]
+    )[..., 0]
+    return [
+        LpSolution("optimal", xi[:n], float(c @ xi[:n]), int(piv)) if ok
+        else LpSolution("infeasible", None, None, int(piv))
+        for xi, ok, piv in zip(x, optimal, pivots)
+    ]
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """``solve_lps`` of a problem with one right-hand side."""
+    if problem.b_ub.ndim != 1:
+        raise ValueError("solve_lp takes one right-hand side; use solve_lps")
+    return solve_lps(problem)[0]

@@ -7,6 +7,7 @@ numpy arrays.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -63,12 +64,15 @@ def vech_index(j: int, k: int, p: int) -> int:
     return (k - 1) * p - (k - 1) * (k - 2) // 2 + (j - k)
 
 
+@functools.lru_cache(maxsize=64)
 def vech_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
     """0-based (row, col) index arrays of the column-major lower triangle.
 
     Length p(p+1)/2; position i holds the pair mapped to linear index i.
+    Built once per p; both arrays are read-only.
     """
     r, c = np.triu_indices(p)
+    r.flags.writeable = c.flags.writeable = False
     # row-major upper triangle transposed == column-major lower triangle
     return c, r
 

@@ -18,15 +18,11 @@ SeedLike = int | np.random.SeedSequence
 
 def seed_sequence(seed: SeedLike, *key: int) -> np.random.SeedSequence:
     """Return the SeedSequence for the substream identified by ``key``."""
-    if isinstance(seed, np.random.SeedSequence):
-        base = seed
-    else:
-        base = np.random.SeedSequence(int(seed))
+    if not isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(int(seed), spawn_key=key)
     if not key:
-        return base
-    return np.random.SeedSequence(
-        entropy=base.entropy, spawn_key=base.spawn_key + tuple(key)
-    )
+        return seed
+    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key)
 
 
 def substream(seed: SeedLike, *key: int) -> np.random.Generator:

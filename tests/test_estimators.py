@@ -175,16 +175,17 @@ def test_clime_infeasible_reports_columns():
 
 
 def _record_lp(monkeypatch):
-    """The solution of every LP that solve_clime / the Dantzig solver runs."""
+    """The solution of every LP that solve_clime / the Dantzig solver runs,
+    one per right-hand side of each stacked call."""
     seen = []
 
     def recording(*args):
-        sol = real(*args)
-        seen.append(sol)
-        return sol
+        sols = real(*args)
+        seen.extend(sols)
+        return sols
 
-    real = estimators.solve_lp
-    monkeypatch.setattr(estimators, "solve_lp", recording)
+    real = estimators.solve_lps
+    monkeypatch.setattr(estimators, "solve_lps", recording)
     return seen
 
 

@@ -43,6 +43,23 @@ def test_vech_pairs_consistent_with_vech_index(p):
         assert vech_index(j + 1, k + 1, p) == pos
 
 
+def test_vech_pairs_built_once_per_p_and_read_only():
+    rows, cols = vech_pairs(6)
+    again = vech_pairs(6)
+    assert again[0] is rows and again[1] is cols
+    for a in (rows, cols):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+    r, c = np.triu_indices(6)
+    np.testing.assert_array_equal(rows, c)
+    np.testing.assert_array_equal(cols, r)
+    # vech and unvech index with the cached arrays and leave them intact
+    m = random_sym(np.random.default_rng(3), 6)
+    np.testing.assert_array_equal(unvech(vech(m), 6), m)
+    np.testing.assert_array_equal(vech_pairs(6)[0], c)
+
+
 @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**31))
 @settings(max_examples=50, deadline=None)
 def test_vech_round_trip(p, seed):
