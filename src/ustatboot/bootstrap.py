@@ -39,7 +39,7 @@ from typing import Iterable
 import numpy as np
 
 from .kernels import DecoupledGEstimates, Kernel, _work_array, check_data
-from .rngutil import SeedLike, substream
+from .rngutil import substream
 from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
 
 __all__ = [
@@ -160,7 +160,7 @@ class BootstrapDraws:
 
 
 def split_sample(
-    data: np.ndarray, seed: SeedLike, *key: int
+    data: np.ndarray, seed: int, *key: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Randomly split into two disjoint halves of size floor(N/2) each.
 
@@ -197,7 +197,7 @@ def draw_bootstrap(
     b: int,
     scaling: str = "applications",
     restriction: str = "all",
-    seed: SeedLike = 0,
+    seed: int = 0,
     *key: int,
 ) -> BootstrapDraws:
     """Generate b multiplier draws from the one substream (seed, *key).
@@ -245,7 +245,7 @@ def bootstrap_halves(
     b: int,
     scaling: str = "applications",
     restriction: str = "all",
-    seed: SeedLike = 0,
+    seed: int = 0,
     *key: int,
 ) -> tuple[UStatResult, BootstrapDraws]:
     """The front end every application shares: split ``data`` into a main

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matstat import as_sym, cholesky
-from .rngutil import SeedLike, substream
+from .rngutil import substream
 
 __all__ = [
     "EllipticalModel",
@@ -113,7 +113,7 @@ def build_v(kind: str, p: int, rho: float | None = None) -> np.ndarray:
     return np.eye(p)
 
 
-def sample(model: EllipticalModel, n: int, seed: SeedLike, *key: int) -> np.ndarray:
+def sample(model: EllipticalModel, n: int, seed: int, *key: int) -> np.ndarray:
     """Draw n iid rows from the model; deterministic in (seed, key)."""
     if n < 1:
         raise ValueError("n must be >= 1")

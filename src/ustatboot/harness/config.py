@@ -66,6 +66,23 @@ _DEFAULTS: dict[str, tuple[dict[str, Any], dict[str, Any]]] = {
 
 EXPERIMENT_NAMES = tuple(_DEFAULTS)
 
+# The fields after ``model`` that each experiment reads besides p,
+# replications, seed and workers, which every experiment reads.  Any other
+# field must keep its dataclass default: a run would silently ignore it.
+_READS: dict[str, tuple[str, ...]] = {
+    "pp_plot": ("n", "bootstrap_b", "alpha_grid"),
+    "naive_vs_hajek": ("n",),
+    "coverage": ("n", "bootstrap_b", "alpha_grid"),
+    "threshold_eval": (
+        "n", "bootstrap_b", "alpha", "beta", "band_k0", "tau_delta_const"
+    ),
+    # the tests' rejections are read over alpha_grid, not at alpha
+    "test_size": ("n", "bootstrap_b", "alpha_grid"),
+    "clime_eval": ("n", "bootstrap_b", "alpha", "m_bound"),
+    "linfun_eval": ("n", "bootstrap_b", "alpha", "m_bound"),
+    "maximal_ineq_scaling": ("n_grid",),
+}
+
 
 def _is_int(value: Any) -> bool:
     # JSON true/false load as bool, which is an int subclass
@@ -155,6 +172,13 @@ class ExperimentConfig:
                 what = f"array of {what}s"
             if not ok:
                 raise ConfigError(f"{f.name} must be a JSON {what}")
+        reads = {"p", "replications", "seed", "workers", *_READS[self.experiment]}
+        for f in dataclasses.fields(self)[2:]:
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(
+                    f"{self.experiment} does not read {f.name}; "
+                    f"leave it at its default {f.default!r}"
+                )
         for name in ("p", "replications", "bootstrap_b", "workers", "band_k0"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")

@@ -14,7 +14,6 @@ import numpy as np
 from .bootstrap import BootstrapDraws, bootstrap_halves, check_level, quantile
 from .kernels import CovarianceKernel, Kernel, KendallKernel, check_data
 from .matstat import as_sym
-from .rngutil import SeedLike
 
 __all__ = ["TestResult", "test_covariance", "test_kendall", "test_ustat_mean"]
 
@@ -38,7 +37,7 @@ def test_ustat_mean(
     u0: np.ndarray,
     alpha: float,
     b: int = 200,
-    seed: SeedLike = 0,
+    seed: int = 0,
     *key: int,
     restriction: str = "all",
 ) -> TestResult:
@@ -70,7 +69,7 @@ def test_covariance(
     sigma0: np.ndarray,
     alpha: float,
     b: int = 200,
-    seed: SeedLike = 0,
+    seed: int = 0,
     *key: int,
 ) -> TestResult:
     """H0: Sigma = Sigma0, tested on the maximum absolute off-diagonal
@@ -86,7 +85,7 @@ def test_kendall(
     t0: np.ndarray,
     alpha: float,
     b: int = 200,
-    seed: SeedLike = 0,
+    seed: int = 0,
     *key: int,
 ) -> TestResult:
     """H0: Kendall's tau-a matrix = T0 off the diagonal.

@@ -4,7 +4,8 @@ Two concrete kernels are provided: the sample-covariance kernel
 h(x1, x2) = (x1 - x2)(x1 - x2)^T / 2 and the Kendall sign-product kernel
 h(x1, x2) = s s^T + 1 with s = sign(x1 - x2).  A user kernel subclasses
 :class:`Kernel` and defines ``__call__`` (a symmetric p x p matrix per pair
-of rows; the pair-loop ``u_stat`` and ``cross_mean`` reject other shapes).
+of rows; the pair-loop ``u_stat`` and ``cross_mean`` reject other shapes and
+an h asymmetric beyond ``matstat.check_symmetric``'s tolerance).
 
 Besides single-pair evaluation, each kernel exposes two batched operations
 that dominate runtime and are implemented with closed forms / matmuls where
@@ -55,7 +56,7 @@ import threading
 
 import numpy as np
 
-from .matstat import vech, vech_pairs
+from .matstat import check_symmetric, vech, vech_pairs
 
 __all__ = [
     "Kernel",
@@ -199,11 +200,12 @@ class Kernel:
         raise NotImplementedError
 
     def _pair(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """h(x1, x2), checked p x p: the pair loops would broadcast less."""
+        """h(x1, x2), checked symmetric p x p: the pair loops would broadcast
+        less, and ``cross_mean`` reads one triangle of h."""
         h = self(x1, x2)
         if np.shape(h) != (x1.size, x1.size):
             raise ValueError(f"kernel returned shape {np.shape(h)}, expected p x p")
-        return h
+        return check_symmetric(h)
 
     def u_stat(self, data: np.ndarray) -> np.ndarray:
         """C(n,2)^{-1} sum over i<j of h(X_i, X_j)."""

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "NotPositiveDefiniteError",
     "as_sym",
+    "check_symmetric",
     "vech_index",
     "vech_pairs",
     "vech",
@@ -83,8 +84,9 @@ def vech(m: np.ndarray) -> np.ndarray:
     Accepts a single p x p matrix or a stacked (..., p, p) array.
     """
     m = np.asarray(m, dtype=np.float64)
-    p = m.shape[-1]
-    rows, cols = vech_pairs(p)
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"expected a (..., p, p) array, got shape {m.shape}")
+    rows, cols = vech_pairs(m.shape[-1])
     return m[..., rows, cols]
 
 
@@ -115,9 +117,26 @@ def matrix_l1_norm(m: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(m), axis=0)))
 
 
+def check_symmetric(m: np.ndarray) -> np.ndarray:
+    """``m`` as float64 after checking it is a square matrix whose asymmetry
+    max|m - m^T| is at most ``ASYM_WARN_TOL`` relative to max(1, max|m|);
+    raises ValueError otherwise.  Routines that read one triangle would
+    silently misread anything else."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    asym = (m - m.T).max(initial=0.0)  # antisymmetric: its max is max|.|
+    # the tolerance times max(1, max|m|), with max|m| found only when needed
+    if asym > ASYM_WARN_TOL and asym > ASYM_WARN_TOL * np.abs(m).max():
+        raise ValueError(f"matrix is not symmetric: max|m - m^T| = {asym:g}")
+    return m
+
+
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix (its 2-norm)."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    """Largest absolute eigenvalue of a symmetric matrix (its 2-norm); a
+    non-square or asymmetric ``m`` raises ValueError (see
+    :func:`check_symmetric`)."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(check_symmetric(m)))))
 
 
 def cholesky(m: np.ndarray) -> np.ndarray:

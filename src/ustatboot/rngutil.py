@@ -6,25 +6,21 @@ plus a tuple of non-negative integers identifying the unit of work
 its random numbers from its one substream; a bootstrap, for instance, takes
 its B multiplier vectors as the rows of one matrix.  Substreams derived from
 the same (seed, key) are identical regardless of execution order or worker
-count, so parallel runs are exactly reproducible.
+count, so parallel runs are exactly reproducible.  The seed and key entries
+are integers (``operator.index``, so ``np.int64(7)`` is 7); a float, string,
+None or bool raises TypeError.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-SeedLike = int | np.random.SeedSequence
 
-
-def seed_sequence(seed: SeedLike, *key: int) -> np.random.SeedSequence:
-    """Return the SeedSequence for the substream identified by ``key``."""
-    if not isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(int(seed), spawn_key=key)
-    if not key:
-        return seed
-    return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + key)
-
-
-def substream(seed: SeedLike, *key: int) -> np.random.Generator:
+def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream identified by ``(seed, *key)``."""
-    return np.random.default_rng(seed_sequence(seed, *key))
+    if any(isinstance(v, bool) for v in (seed, *key)):
+        raise TypeError("seed and key entries must be integers, not bool")
+    seed, *key = map(operator.index, (seed, *key))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

@@ -168,25 +168,41 @@ def test_draw_bootstrap_matches_per_draw_loop(kernel, b, scaling, restriction):
     )
 
 
-@pytest.mark.parametrize(
-    "seed", [0, 42, np.random.SeedSequence(99), np.random.SeedSequence(5, spawn_key=(3,))]
-)
+@pytest.mark.parametrize("seed", [0, 42, np.int64(99), np.int64(5)])
 @pytest.mark.parametrize("key", [(), (1,), (2, 0, 7)])
 @pytest.mark.parametrize("rows", [1, 6])
 def test_draw_bootstrap_rows_are_one_substream(seed, key, rows):
-    # a caller's SeedSequence, spawned or not, is keyed like an int seed
+    # a numpy integer seed is keyed like the int of its value
     g = _toy_g()
-    e = substream(seed, *key).standard_normal((rows, g.n))
+    e = substream(int(seed), *key).standard_normal((rows, g.n))
     expected = np.sort(np.max(e @ g.g_hat, axis=1)) / math.sqrt(g.n)
     got = draw_bootstrap(g, rows, "raw", "all", seed, *key)
     np.testing.assert_allclose(got.values, expected, rtol=1e-12, atol=1e-12)
 
 
-def test_draw_bootstrap_does_not_spawn_from_caller_sequence():
-    ss = np.random.SeedSequence(99)
-    draw_bootstrap(_toy_g(), 3, "raw", "all", ss, 4)
-    draw_bootstrap(_toy_g(), 3, "applications", "offdiag", ss)
-    assert ss.n_children_spawned == 0
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3", None, True], ids=repr)
+def test_split_and_draws_reject_a_non_integer_seed(seed):
+    data = np.random.default_rng(0).standard_normal((10, 3))
+    with pytest.raises(TypeError):
+        split_sample(data, seed, 1)
+    with pytest.raises(TypeError):
+        draw_bootstrap(_toy_g(), 3, "raw", "all", seed, 1)
+
+
+@pytest.mark.parametrize("entry", ["2", True], ids=repr)
+def test_split_and_draws_reject_a_non_integer_key_entry(entry):
+    data = np.random.default_rng(0).standard_normal((10, 3))
+    with pytest.raises(TypeError):
+        split_sample(data, 1, entry)
+    with pytest.raises(TypeError):
+        draw_bootstrap(_toy_g(), 3, "raw", "all", 1, 0, entry)
+
+
+def test_split_sample_takes_a_numpy_integer_seed_as_its_int():
+    # draw_bootstrap's numpy seeds are in test_draw_bootstrap_rows_are_one_substream
+    data = np.random.default_rng(0).standard_normal((10, 3))
+    for got, want in zip(split_sample(data, np.int64(7), 1), split_sample(data, 7, 1)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_scalings_and_restrictions_share_multiplier_rows():

@@ -96,6 +96,25 @@ def test_sample_factors_v_once_per_model(monkeypatch):
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3", None, True], ids=repr)
+def test_sample_rejects_a_non_integer_seed(seed):
+    m = elliptic_t(np.eye(3), nu=8.0)
+    with pytest.raises(TypeError):
+        sample(m, 4, seed, 1)
+
+
+@pytest.mark.parametrize("entry", ["2", True], ids=repr)
+def test_sample_rejects_a_non_integer_key_entry(entry):
+    m = elliptic_t(np.eye(3), nu=8.0)
+    with pytest.raises(TypeError):
+        sample(m, 4, 1, entry)
+
+
+def test_sample_takes_a_numpy_integer_seed_as_its_int():
+    m = elliptic_t(np.eye(3), nu=8.0)
+    np.testing.assert_array_equal(sample(m, 4, np.int64(7), 1), sample(m, 4, 7, 1))
+
+
 def test_sample_non_positive_definite_v_raises_at_first_sample():
     m = elliptic_t(np.array([[1.0, 2.0], [2.0, 1.0]]), nu=8.0)
     for _ in range(2):

@@ -10,6 +10,7 @@ from ustatboot.bootstrap import draw_bootstrap, estimate_g_decoupled, quantile, 
 from ustatboot.distributions import contaminated_normal, population_sigma, sample
 from ustatboot.harness.cli import main as cli_main
 from ustatboot.harness.config import (
+    _READS,
     EXPERIMENT_NAMES,
     ConfigError,
     ExperimentConfig,
@@ -50,10 +51,13 @@ TAGS = {
 
 
 def small(experiment, **over):
+    # n and bootstrap_b shrink only where the experiment reads them
     cfg = default_config(experiment)
     model = dict(cfg.model)
     model["p"] = over.pop("p", 6)
-    base = dict(n=30, p=model["p"], replications=4, bootstrap_b=20)
+    sizes = {"n": 30, "bootstrap_b": 20}
+    base = {k: v for k, v in sizes.items() if k in _READS[experiment]}
+    base.update(p=model["p"], replications=4)
     base.update(over)
     return dataclasses.replace(cfg, model=model, **base)
 
@@ -97,13 +101,47 @@ def test_typed_config_field_rejects_bools_and_strings(field):
             dataclasses.replace(cfg, **{field.name: value})
 
 
+# each run was identical to the default one: the experiment never reads the
+# field
+UNREAD = [
+    ("clime_eval", "beta", 0.5),
+    ("coverage", "n_grid", (7, 9)),
+    ("threshold_eval", "m_bound", 3.0),
+    ("naive_vs_hajek", "bootstrap_b", 7),
+    ("maximal_ineq_scaling", "n", 999),
+    ("test_size", "alpha", 0.2),
+]
+
+
+@pytest.mark.parametrize("name, field, value", UNREAD, ids=str)
+def test_a_field_the_experiment_never_reads_keeps_its_default(
+    tmp_path, capsys, name, field, value
+):
+    cfg = default_config(name)
+    message = f"{name} does not read {field};"
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        dataclasses.replace(cfg, **{field: value})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg.to_dict(), field: value}))
+    assert cli_main([name, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_read_fields_name_every_experiment_and_real_fields():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)[2:]}
+    assert list(_READS) == list(EXPERIMENT_NAMES)
+    for reads in _READS.values():
+        assert set(reads) <= fields
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="pp_plot", model={"family": "x"})
-    with pytest.raises(ConfigError):
-        dataclasses.replace(default_config("pp_plot"), alpha=1.5)
-    with pytest.raises(ConfigError):
-        dataclasses.replace(default_config("pp_plot"), beta=0.0)
+    # threshold_eval reads alpha and beta, so their range checks decide
+    with pytest.raises(ConfigError, match="alpha"):
+        dataclasses.replace(default_config("threshold_eval"), alpha=1.5)
+    with pytest.raises(ConfigError, match="^beta must lie"):
+        dataclasses.replace(default_config("threshold_eval"), beta=0.0)
     with pytest.raises(ConfigError):
         dataclasses.replace(default_config("pp_plot"), p=7)  # model p mismatch
 

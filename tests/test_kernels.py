@@ -276,18 +276,25 @@ def test_user_kernel_plugs_into_the_bootstrap():
 
 
 @pytest.mark.parametrize(
-    "value", [lambda d: 1.0, lambda d: d], ids=["scalar", "vector"]
+    "value, message",
+    [
+        (lambda x1, x2: 1.0, "expected p x p"),
+        (lambda x1, x2: x1 - x2, "expected p x p"),
+        (np.outer, "not symmetric"),
+    ],
+    ids=["scalar", "vector", "asymmetric"],
 )
-def test_user_kernel_must_return_a_p_by_p_matrix(value):
-    # the pair loops would broadcast a scalar into U without this check
+def test_user_kernel_must_return_a_p_by_p_matrix(value, message):
+    # the pair loops would broadcast a scalar into U without this check, and
+    # cross_mean would read one triangle of an asymmetric h
     class Bad(Kernel):
         def __call__(self, x1, x2):
-            return value(x1 - x2)
+            return value(x1, x2)
 
     data = np.random.default_rng(0).standard_normal((6, 3))
-    with pytest.raises(ValueError, match="expected p x p"):
+    with pytest.raises(ValueError, match=message):
         Bad().u_stat(data)
-    with pytest.raises(ValueError, match="expected p x p"):
+    with pytest.raises(ValueError, match=message):
         Bad().cross_mean(data, data)
 
 

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ustatboot.distributions import population_sigma
+from ustatboot.harness.config import default_config
 from ustatboot.matstat import (
+    ASYM_WARN_TOL,
     NotPositiveDefiniteError,
     as_sym,
     cholesky,
@@ -77,6 +82,12 @@ def test_vech_stacked():
     np.testing.assert_array_equal(unvech(v, 4), stack)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (4, 2, 3)])
+def test_vech_rejects_a_non_square_array(shape):
+    with pytest.raises(ValueError, match=re.escape(str(shape))):
+        vech(np.zeros(shape))
+
+
 def test_norm_oracles():
     m = np.array([[1.0, -4.0], [-4.0, 2.0]])
     assert sup_norm(m) == 4.0
@@ -105,6 +116,38 @@ def test_spectral_norm_near_tied_eigenvalues():
     q, _ = np.linalg.qr(np.random.default_rng(75).standard_normal((6, 6)))
     m = q @ np.diag([0.86203, -0.86191, 0.5, -0.3, 0.1, 0.0]) @ q.T
     assert spectral_norm(m) == pytest.approx(0.86203, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 3)), np.zeros(3)],
+    ids=["asymmetric", "2x3", "1-D"],
+)
+def test_spectral_norm_rejects_what_eigvalsh_would_misread(m):
+    # eigvalsh reads one triangle: it gives 0 for [[0, 1], [0, 0]], whose
+    # 2-norm is 1
+    with pytest.raises(ValueError, match="symmetric|square"):
+        spectral_norm(m)
+
+
+def test_spectral_norm_asymmetry_tolerance_is_relative():
+    # Omega = inv(Sigma) of clime_eval's default model: largest entry about
+    # 2.3 and rounding asymmetry below 1e-15, which must pass
+    sigma = population_sigma(default_config("clime_eval").build_model())
+    omega = np.linalg.inv(sigma)
+    assert 0.0 < np.max(np.abs(omega - omega.T)) < ASYM_WARN_TOL
+    assert spectral_norm(omega) == pytest.approx(
+        np.max(np.abs(np.linalg.eigvalsh(omega))), rel=1e-12
+    )
+    # asymmetry 1e-8 against entries of 1e6 is within the relative
+    # tolerance; the same asymmetry against entries of 1 is not
+    big = np.diag([1e6, 2e6])
+    big[0, 1] = 1e-8
+    assert spectral_norm(big) == 2e6
+    small = np.eye(2)
+    small[0, 1] = 1e-8
+    with pytest.raises(ValueError, match="not symmetric"):
+        spectral_norm(small)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
