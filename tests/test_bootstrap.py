@@ -99,6 +99,32 @@ def _toy_g():
     return estimate_g_decoupled(main, train, KendallKernel())
 
 
+def _gamma(m, unit):
+    """Higham's gamma_m = m u / (1 - m u) for unit roundoff u."""
+    return m * unit / (1.0 - m * unit)
+
+
+def _f32_atol(e, g_hat, scale):
+    """Bound on |draw - float64 reference| for draws whose block products run
+    in float32 from the float64 multipliers e and estimates g_hat, both
+    rounded once to float32 (g_hat after an exact power-of-two scale).  A
+    float32 sum of n such products errs by at most
+    gamma_{n+2} sum_i |e_di||g_ic| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.1), in any summation order; a
+    maximum moves by at most its largest entry's error, and the reference's
+    own float64 sum and both sides' 2/n or 1/sqrt(n) ``scale`` add a few
+    float64 ulps."""
+    n = e.shape[1]
+    worst = scale * (np.abs(e) @ np.abs(g_hat)).max()
+    return worst * (_gamma(n + 2, 2.0**-24) + _gamma(n, 2.0**-53)) + 8 * np.spacing(worst)
+
+
+def _draws_atol(g, b, scaling, seed, *key):
+    """``_f32_atol`` for the b draws of g on the substream (seed, *key)."""
+    e = substream(seed, *key).standard_normal((b, g.n))
+    return _f32_atol(e, g.g_hat, 1.0 / math.sqrt(g.n) if scaling == "raw" else 2.0 / g.n)
+
+
 def test_draw_bootstrap_deterministic_and_sorted():
     g = _toy_g()
     a = draw_bootstrap(g, 50, "applications", "all", 3, 1)
@@ -123,7 +149,9 @@ def test_draw_bootstrap_matches_manual_computation():
     n = g.n
     e = substream(11).standard_normal((5, n))  # row d is draw d
     manual = [2.0 * np.max(np.abs(e[d] @ flat)) / n for d in range(5)]
-    np.testing.assert_allclose(draws.values, np.sort(manual), atol=1e-12)
+    np.testing.assert_allclose(
+        draws.values, np.sort(manual), rtol=0, atol=_f32_atol(e, flat, 2.0 / n)
+    )
 
 
 def test_draw_bootstrap_raw_scaling_is_signed_max():
@@ -132,7 +160,9 @@ def test_draw_bootstrap_raw_scaling_is_signed_max():
     flat = g.g_hat
     e = substream(13).standard_normal((5, g.n))
     manual = [np.max(e[d] @ flat) / math.sqrt(g.n) for d in range(5)]
-    np.testing.assert_allclose(draws.values, np.sort(manual), atol=1e-12)
+    np.testing.assert_allclose(
+        draws.values, np.sort(manual), rtol=0, atol=_f32_atol(e, flat, 1 / math.sqrt(g.n))
+    )
 
 
 def _draw_loop(g, b, scaling, restriction, seed, *key):
@@ -164,7 +194,10 @@ def test_draw_bootstrap_matches_per_draw_loop(kernel, b, scaling, restriction):
     )
     draws = draw_bootstrap(g, b, scaling, restriction, 17, 3, 2)
     np.testing.assert_allclose(
-        draws.values, _draw_loop(g, b, scaling, restriction, 17, 3, 2), atol=1e-12
+        draws.values,
+        _draw_loop(g, b, scaling, restriction, 17, 3, 2),
+        rtol=0,
+        atol=_draws_atol(g, b, scaling, 17, 3, 2),
     )
 
 
@@ -177,7 +210,8 @@ def test_draw_bootstrap_rows_are_one_substream(seed, key, rows):
     e = substream(int(seed), *key).standard_normal((rows, g.n))
     expected = np.sort(np.max(e @ g.g_hat, axis=1)) / math.sqrt(g.n)
     got = draw_bootstrap(g, rows, "raw", "all", seed, *key)
-    np.testing.assert_allclose(got.values, expected, rtol=1e-12, atol=1e-12)
+    atol = _f32_atol(e, g.g_hat, 1 / math.sqrt(g.n))
+    np.testing.assert_allclose(got.values, expected, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), "3", None, True], ids=repr)
@@ -317,7 +351,8 @@ def test_blocked_draws_match_the_unblocked_product(kernel, p):
         for restriction in RESTRICTIONS[: 1 if p == 1 else 2]:
             got = draw_bootstrap(g, 30, scaling, restriction, 3, 2).values
             want = _unblocked_draws(g, 30, scaling, restriction, 3, 2)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            atol = _draws_atol(g, 30, scaling, 3, 2)
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("n, p", [(200, 40), (1000, 20), (21, 300), (50, 3)])
@@ -334,6 +369,24 @@ def test_covariance_draws_equal_the_materialized_draws(n, p):
                 draw_bootstrap(g, 200, scaling, restriction, 4, 1).values,
                 draw_bootstrap(materialized, 200, scaling, restriction, 4, 1).values,
             )
+
+
+@pytest.mark.parametrize("kernel", [CovarianceKernel(), KendallKernel()])
+@pytest.mark.parametrize("k", [-80, -40, 40, 80])
+def test_draws_are_exactly_scale_equivariant(kernel, k):
+    # data times 2^k scale covariance ghat by 4^k and leave Kendall's, a
+    # function of ranks, as it is; powers of two commute with every rounding,
+    # so the draws scale the same way bit for bit, even where 4^k ghat lies
+    # outside float32's range (2^-160 and 2^160 at k = -80 and 80)
+    data = np.random.default_rng(11).standard_normal((2, 60, 5)) + 3.0
+    factor = 4.0**k if isinstance(kernel, CovarianceKernel) else 1.0
+    g = estimate_g_decoupled(*data, kernel)
+    g_scaled = estimate_g_decoupled(*np.ldexp(data, k), kernel)
+    for scaling in SCALINGS:
+        for restriction in RESTRICTIONS:
+            want = draw_bootstrap(g, 50, scaling, restriction, 5, 1).values
+            got = draw_bootstrap(g_scaled, 50, scaling, restriction, 5, 1).values
+            np.testing.assert_array_equal(got, want * factor)
 
 
 def test_covariance_bootstrap_peak_memory_is_blocked():
@@ -427,17 +480,18 @@ def test_concurrent_draws_match_serial_draws():
 
 
 def test_pool_keeps_nothing_above_its_cap():
-    # (B, n) multipliers of 8.8 MB exceed the cap: they are allocated for
-    # this draw and dropped
-    n, b = 1000, 1100
-    assert b * n * 8 > kernels._POOL_BYTES
+    # (B, n) float32 multipliers of 8.8 MB exceed the cap: they are
+    # allocated for this draw and dropped
+    n, b = 1000, 2200
+    assert b * n * 4 > kernels._POOL_BYTES
     g = estimate_g_decoupled(
         *np.random.default_rng(1).standard_normal((2, n, 2)), CovarianceKernel()
     )
     big = draw_bootstrap(g, b, "applications", "all", 2)
     assert all(a.nbytes <= kernels._POOL_BYTES for a in _pooled_arrays())
     want = _unblocked_draws(g, b, "applications", "all", 2)
-    np.testing.assert_allclose(big.values, want, rtol=1e-12, atol=0)
+    atol = _draws_atol(g, b, "applications", 2)
+    np.testing.assert_allclose(big.values, want, rtol=0, atol=atol)
 
 
 def test_draw_bootstrap_rejects_bad_args():
