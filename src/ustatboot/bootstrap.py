@@ -11,26 +11,38 @@ entries (j, k), j >= k, of whole matrix columns k, about ``_BLOCK_SIZE`` / n
 of them per block): one GEMM of the (B, n) multipliers e with the block's
 columns of ghat, then a running maximum per draw of that block's signed max
 or max |.|.  Each kernel builds its estimates in ``kernels``
-(``Kernel._estimates``), and every kernel's estimates hand out ghat's own
-columns (``DecoupledGEstimates.blocks``): a slice of a materialized ghat, or
-the same columns filled from factors in one reused buffer.  The
+(``Kernel._estimates``), and every kernel's estimates hand the draws each
+block of ghat as float32 columns x and an exponent k, x 2^k the block
+(``DecoupledGEstimates._float32_blocks``): by default ghat's own columns
+(``blocks``, slices of a materialized ghat) scaled and cast, and for the
+covariance kernel blocks filled in float32 from factors.  The
 multipliers and every work array of a draw come from the per-thread pool of
 ``kernels._work_array``, so repeated draws at one shape allocate none of
 them; what a draw returns is always a new array.
 
 Only the block products run in float32.  The multipliers are drawn in
-float64 from their substream and rounded once to float32; each float64
+float64 from their substream and rounded once to float32.  A materialized
 block of ghat is divided by 2^k, k the binary exponent of its largest
-|entry|, and rounded once to float32; the GEMM and the block's maximum run
-in float32, and the maximum is multiplied back by 2^k in float64, where the
-running maximum, the scaling and the sort stay.  Powers of two scale
-exactly, so the draws are exactly scale-equivariant, and no block
-overflows float32 or vanishes in it, whatever the scale of the data.  A
-float32 sum of n products errs by at most gamma_{n+2} sum_i |e_i| |ghat_i|,
-with gamma_m = m 2^-24 / (1 - m 2^-24) (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., 2002, sec. 3.1), in any summation order: a
-relative error of about 1e-6 at most, against a Monte Carlo error of a
-B = 200 quantile of a few percent.
+|entry|, and rounded once to float32.  Covariance ghat (j, k) is
+d_j d_k / 2 + C_jk / 2 - U_jk (``kernels``); its estimates round d / 2^a,
+its exact half and (C / 2 - U) / 4^a to float32 once, a the larger of the
+exponents of max |d| and of sqrt(max |C / 2 - U|), and fill each block
+entry with one float32 product and one float32 add, with k = 2a.  The GEMM
+and the block's maximum run in float32, and the maximum is multiplied back
+by 2^k in float64, where the running maximum, the scaling and the sort
+stay.  Powers of two scale exactly, so the draws are exactly
+scale-equivariant, and no block overflows float32, whatever the scale of
+the data.  A float32 sum of n products errs by at most
+gamma_{n+r} sum_i |e_i| m_i, with gamma_m = m 2^-24 / (1 - m 2^-24)
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+sec. 3.1), in any summation order: r = 2 and m_i = |ghat_i| for a
+materialized block, r = 5 and m_i = |d_ij d_ik| / 2 + |C_jk / 2 - U_jk|
+for a covariance block (the roundings of e_i, d_j, d_k, their product and
+the add).  That is a relative error of about 1e-6 at most, against a Monte
+Carlo error of a B = 200 quantile of a few percent.  The bound holds while
+the scaled float32 entries are normal (at least 2^-126); an entry below
+that, 2^-126 or less of the block's largest or of 4^a, adds at most
+2^-150 2^k per rounding.
 
 Two scalings of the multiplier statistic are implemented, each paired with
 the centred maximum of ``ustat.sup_stat`` whose law it approximates:
@@ -46,6 +58,7 @@ restriction, so a statistic and its critical values cannot disagree on them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -68,10 +81,10 @@ __all__ = [
     "quantile",
 ]
 
-# entries per draw block of ghat (n rows by its vech columns; 512 KB as the
-# float64 block and 256 KB as its float32 copy): a block takes whole matrix
-# columns until it holds this many, about 330 vech columns at n = 200, so
-# that the block, its copy and its product stay in cache
+# entries per draw block of ghat (n rows by its vech columns; 256 KB as the
+# float32 block, and 512 KB as a materialized ghat's float64 slice): a block
+# takes whole matrix columns until it holds this many, about 330 vech
+# columns at n = 200, so that the block and its product stay in cache
 _BLOCK_SIZE = 2**16
 
 # doubles per chunk of the float64 multiplier fill (128 KB), which is cast
@@ -79,11 +92,12 @@ _BLOCK_SIZE = 2**16
 _NORMALS_CHUNK = 2**14
 
 
-def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, np.ndarray]]:
+@functools.lru_cache(maxsize=64)
+def _column_blocks(p: int, n: int) -> tuple[tuple[int, int, int, np.ndarray], ...]:
     """(k0, lo, hi, diag) per block of a ghat with n rows: the vech positions
     lo..hi-1 of whole matrix columns from k0 on, and the block offsets of
-    their diagonal entries (k, k), each the first of its column, as an
-    ``np.intp`` index array."""
+    their diagonal entries (k, k), each the first of its column, as a
+    read-only ``np.intp`` index array.  Built once per (p, n)."""
     blocks = []
     k0 = lo = 0
     while k0 < p:
@@ -92,9 +106,11 @@ def _column_blocks(p: int, n: int) -> list[tuple[int, int, int, np.ndarray]]:
             diag.append(hi - lo)
             hi += p - k1
             k1 += 1
-        blocks.append((k0, lo, hi, np.array(diag, np.intp)))
+        diag = np.array(diag, np.intp)
+        diag.flags.writeable = False
+        blocks.append((k0, lo, hi, diag))
         k0, lo = k1, hi
-    return blocks
+    return tuple(blocks)
 
 
 class DegenerateBootstrapError(FloatingPointError):
@@ -228,21 +244,6 @@ def _multipliers(b: int, n: int, seed: int, *key: int) -> np.ndarray:
     return e
 
 
-def _scaled_float32(x: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x / 2^k as float32 in the flat ``buf``, k), k the binary exponent of
-    max |x|.  Dividing by a power of two is exact and puts the largest |x|
-    in [1/2, 1), so no finite block overflows float32 or vanishes in it, and
-    products with the copy scale back exactly.  The copy takes x's layout
-    (a slice of a row-major ghat, or the transpose of a row-major block
-    buffer), so the cast streams through both."""
-    k = math.frexp(max(x.max(), -x.min()))[1]
-    if x.strides[0] < x.strides[1]:
-        out = buf[: x.size].reshape(x.shape[::-1]).T
-    else:
-        out = buf[: x.size].reshape(x.shape)
-    return np.multiply(x, math.ldexp(1.0, -k), out=out), k
-
-
 def draw_bootstrap(
     g: DecoupledGEstimates,
     b: int,
@@ -257,14 +258,14 @@ def draw_bootstrap(
     matrix from that substream, filled in row order, so draw d depends only
     on (seed, key, n, d): the draws of a smaller b are a prefix of those of
     a larger one, and results do not depend on execution order or
-    parallelism.  ghat comes in vech column blocks (``g.blocks``); each
-    block's multiplier sums are one float32 GEMM (the module docstring has
-    its scaling and error bound), which ``ustat.entry_max`` reduces per draw
-    over every entry or the off-diagonal ones (a block's diagonal positions
-    are masked in place), and a running maximum over the blocks gives each
-    draw's signed max or max |.|.  Every scaling and restriction uses the
-    same multiplier rows.  Raises ``DegenerateBootstrapError`` when every
-    draw is 0."""
+    parallelism.  ghat comes in float32 vech column blocks
+    (``g._float32_blocks``); each block's multiplier sums are one float32
+    GEMM (the module docstring has its scaling and error bound), which
+    ``ustat.entry_max`` reduces per draw over every entry or the
+    off-diagonal ones (a block's diagonal positions are masked in place),
+    and a running maximum over the blocks gives each draw's signed max or
+    max |.|.  Every scaling and restriction uses the same multiplier rows.
+    Raises ``DegenerateBootstrapError`` when every draw is 0."""
     if b < 1:
         raise ValueError("b must be >= 1")
     check_maximum(scaling, restriction, g.p)
@@ -272,14 +273,12 @@ def draw_bootstrap(
     schedule = _column_blocks(g.p, n)
     width = max(hi - lo for _, lo, hi, _ in schedule)
     e = _multipliers(b, n, seed, *key)
-    x32 = _work_array("bootstrap.block32", (n * width,), np.float32)
     # the products are column-major: ``entry_max`` then reduces each draw
     # across contiguous columns, which is faster for float32
     out = _work_array("bootstrap.product", (width, b), np.float32)
     values = np.full(b, -np.inf)
-    for (*_, diag), x in zip(schedule, g.blocks(schedule)):
-        xs, k = _scaled_float32(x, x32)
-        s = np.matmul(e, xs, out=out[: x.shape[1]].T)
+    for (*_, diag), (x, k) in zip(schedule, g._float32_blocks(schedule)):
+        s = np.matmul(e, x, out=out[: x.shape[1]].T)
         block_max = entry_max(s, diag, scaling, restriction)
         np.maximum(values, np.ldexp(block_max, k, dtype=np.float64), out=values)
     if not values.any():

@@ -37,8 +37,8 @@ from ..estimators import (
     threshold_cov,
 )
 from ..gaussian_approx import kolmogorov_distance
-from ..inference import test_covariance, test_kendall
-from ..kernels import CovarianceKernel
+from ..inference import _null_draws
+from ..kernels import CovarianceKernel, KendallKernel
 from ..matstat import matrix_l1_norm, sup_norm
 from ..ustat import UStatResult, compute_u, sup_stat
 from .config import EXPERIMENT_NAMES, ExperimentConfig
@@ -289,14 +289,22 @@ def _test_size_rep(
     """Rejections over the alpha grid of the library's covariance test of
     H0: Sigma = Sigma0 and Kendall test of T0 = I under independence
     (``ind_model``), on 2n rows sampled on (tag, r, 0) and (tag, r, 3) and
-    tested with the keys (tag, r, 1) and (tag, r, 4)."""
+    tested with the keys (tag, r, 1) and (tag, r, 4): the statistics and
+    draws of ``test_covariance`` and ``test_kendall``, which decide every
+    level of the grid at once."""
     tag, n2, b = _TAGS["test_size"], 2 * cfg.n, cfg.bootstrap_b
     data = sample(model, n2, cfg.seed, tag, r, 0)
-    cov = test_covariance(data, sigma, cfg.alpha, b, cfg.seed, tag, r, 1)
+    cov = _null_draws(
+        data, CovarianceKernel(), sigma, b, cfg.seed, tag, r, 1, restriction="offdiag"
+    )
     data_k = sample(ind_model, n2, cfg.seed, tag, r, 3)
-    ken = test_kendall(data_k, np.eye(cfg.p), cfg.alpha, b, cfg.seed, tag, r, 4)
+    # T0 = I on the sign-product kernel's scale, tau_a + 1 (``test_kendall``)
+    ken = _null_draws(
+        data_k, KendallKernel(), np.eye(cfg.p) + 1.0, b, cfg.seed, tag, r, 4,
+        restriction="offdiag",
+    )
     return np.concatenate(
-        [t.draws.rejects(t.statistic, cfg.alpha_grid) for t in (cov, ken)]
+        [draws.rejects(stat, cfg.alpha_grid) for stat, draws in (cov, ken)]
     )
 
 

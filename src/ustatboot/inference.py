@@ -31,6 +31,28 @@ class TestResult:
     draws: BootstrapDraws = field(compare=False, repr=False)
 
 
+def _null_draws(
+    data: np.ndarray,
+    kernel: Kernel,
+    u0: np.ndarray,
+    b: int,
+    seed: int,
+    *key: int,
+    restriction: str = "all",
+) -> tuple[float, BootstrapDraws]:
+    """The statistic and sorted draws of ``test_ustat_mean`` at its
+    applications scaling, without a critical value, decision or p-value, for
+    callers that decide many levels from the draws."""
+    u0 = as_sym(u0)
+    p = check_data(data).shape[1]
+    if u0.shape != (p, p):
+        raise ValueError(f"null matrix shape {u0.shape} does not match p = {p}")
+    u, draws = bootstrap_halves(
+        data, kernel, b, "applications", restriction, seed, *key
+    )
+    return draws.statistic(u, u0), draws
+
+
 def test_ustat_mean(
     data: np.ndarray,
     kernel: Kernel,
@@ -45,14 +67,7 @@ def test_ustat_mean(
     ``bootstrap_halves``, which keeps test_size's two tests on the keys
     (tag, r, 1) and (tag, r, 4) independent."""
     check_level(alpha)
-    u0 = as_sym(u0)
-    p = check_data(data).shape[1]
-    if u0.shape != (p, p):
-        raise ValueError(f"null matrix shape {u0.shape} does not match p = {p}")
-    u, draws = bootstrap_halves(
-        data, kernel, b, "applications", restriction, seed, *key
-    )
-    stat = draws.statistic(u, u0)
+    stat, draws = _null_draws(data, kernel, u0, b, seed, *key, restriction=restriction)
     return TestResult(
         statistic=stat,
         critical_value=quantile(draws, 1.0 - alpha),

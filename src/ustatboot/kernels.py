@@ -27,8 +27,12 @@ ghat = ``cross_mean(main, train)`` - vech(``u_stat(train)``) is materialized
 d_j * (d_k / 2) + C_jk / 2 - U_jk with d = main - mean(train), C the mean
 of the training half's centred outer products and U = U(train); its
 estimates keep only d^T, d^T / 2, vech(C) / 2 and vech(U) and fill each
-block from them.  That is a storage choice: halving is exact, so every
-column equals the materialized one bit for bit, and so do the draws.
+block from them.  Halving is exact, so every column of ``blocks`` and
+``g_hat`` equals the materialized one bit for bit.  The draws instead take
+blocks filled in float32 from d^T / 2^a, its half and vech(C / 2 - U) / 4^a,
+each rounded to float32 once per estimates object: their blocks differ from
+ghat's float32 cast by a few float32 roundings (the ``bootstrap`` module
+docstring bounds the draws' error).
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
 h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
@@ -52,6 +56,7 @@ results are bit-identical to the pair loop of :class:`Kernel`.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -163,6 +168,27 @@ def _sign_blocks(x: np.ndarray, y: np.ndarray | None = None):
         yield start, s
 
 
+def _exponent(x: np.ndarray) -> int:
+    """The binary exponent k of max |x|: max |x| / 2^k lies in [1/2, 1), or
+    k = 0 when x is 0."""
+    return math.frexp(max(x.max(), -x.min()))[1]
+
+
+def _scaled_float32(x: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x / 2^k as float32 in the flat ``buf``, k), k the ``_exponent`` of x.
+    Dividing by a power of two is exact and puts the largest |x| in
+    [1/2, 1), so no finite block overflows float32 or vanishes in it, and
+    products with the copy scale back exactly.  The copy takes x's layout
+    (a slice of a row-major or of a column-major ghat), so the cast streams
+    through both."""
+    k = _exponent(x)
+    if x.strides[0] < x.strides[1]:
+        out = buf[: x.size].reshape(x.shape[::-1]).T
+    else:
+        out = buf[: x.size].reshape(x.shape)
+    return np.multiply(x, math.ldexp(1.0, -k), out=out), k
+
+
 class DecoupledGEstimates:
     """Per-row Hajek projection estimates ghat_i, half-vectorized (row i of
     ``g_hat`` is ``vech(ghat_i)``: ghat_i is symmetric, so this holds every
@@ -184,12 +210,21 @@ class DecoupledGEstimates:
     def p(self) -> int:
         return self.train_u.shape[0]
 
-    def blocks(self, schedule: list):
+    def blocks(self, schedule: tuple):
         """Yield the columns g_hat[:, lo:hi] per block (k0, lo, hi, diag) of
         the ``bootstrap._column_blocks`` schedule, each valid until the next
         block is asked for."""
         for _, lo, hi, _ in schedule:
             yield self.g_hat[:, lo:hi]
+
+    def _float32_blocks(self, schedule: tuple):
+        """Yield (x, k) per block of the schedule, with x a float32 array
+        valid until the next block is asked for and x * 2^k the block's
+        columns: here each of ``blocks`` cast by ``_scaled_float32``."""
+        width = max(hi - lo for _, lo, hi, _ in schedule)
+        buf = _work_array("bootstrap.block32", (self.n * width,), np.float32)
+        for x in self.blocks(schedule):
+            yield _scaled_float32(x, buf)
 
 
 class Kernel:
@@ -256,7 +291,8 @@ def _vech_rows(factors: tuple, u: np.ndarray | None, k0: int, lo: int, out: np.n
     ... (the first is (k0, k0)) of the covariance kernel's mean over the
     second sample less vech(U) = ``u`` (None for none): row (j, k) is
     d_j * (d_k / 2) + C_jk / 2 - U_jk for the ``_cross_factors``.  Halving is
-    exact, so that is (d_j d_k + C_jk) / 2 - U_jk bit for bit."""
+    exact, so that is (d_j d_k + C_jk) / 2 - U_jk bit for bit.  Every
+    operation runs in ``out``'s dtype."""
     d_t, half_d_t, half_c = factors
     p, start, k, hi = d_t.shape[0], 0, k0, lo + len(out)
     while start < len(out):
@@ -272,13 +308,24 @@ class _CovarianceEstimates(DecoupledGEstimates):
     """Covariance-kernel ghat from its ``_cross_factors``: column (j, k) is
     d_j * (d_k / 2) + C_jk / 2 - U_jk with U = ``train_u``.  Only ``g_hat``
     builds the (n, p(p+1)/2) matrix; ``blocks`` fills its columns in one
-    reused buffer."""
+    reused buffer.  ``_float32_blocks`` fills float32 blocks the same way
+    from d^T / 2^a, its exact half and vech(C / 2 - U) / 4^a, rounded once
+    here; a is the larger of the exponents of max |d| and of
+    sqrt(max |C / 2 - U|), so every factor and block entry is below 2 in
+    magnitude and none overflows float32."""
 
     def __init__(self, factors: tuple[np.ndarray, ...], train_u: np.ndarray):
         self._factors = factors
         self._u = vech(train_u)
         self.train_u = train_u
         self.n = factors[0].shape[1]
+        d_t, _, half_c = factors
+        c = half_c - self._u
+        a = max(_exponent(d_t), math.ceil(_exponent(c) / 2))
+        d32 = np.ldexp(d_t, -a).astype(np.float32)
+        c32 = np.ldexp(c, -2 * a).astype(np.float32)
+        self._factors32 = (d32, d32 / np.float32(2), c32)
+        self._exponent32 = 2 * a
 
     @property
     def g_hat(self) -> np.ndarray:
@@ -286,11 +333,18 @@ class _CovarianceEstimates(DecoupledGEstimates):
         out = np.empty((self._u.size, self.n))
         return _vech_rows(self._factors, self._u, 0, 0, out).T
 
-    def blocks(self, schedule: list):
+    def blocks(self, schedule: tuple):
         width = max(hi - lo for _, lo, hi, _ in schedule)
         buf = _work_array("bootstrap.block", (width, self.n))
         for k0, lo, hi, _ in schedule:
             yield _vech_rows(self._factors, self._u, k0, lo, buf[: hi - lo]).T
+
+    def _float32_blocks(self, schedule: tuple):
+        width = max(hi - lo for _, lo, hi, _ in schedule)
+        buf = _work_array("bootstrap.block32", (self.n * width,), np.float32)
+        for k0, lo, hi, _ in schedule:
+            x = buf[: (hi - lo) * self.n].reshape(hi - lo, self.n)
+            yield _vech_rows(self._factors32, None, k0, lo, x).T, self._exponent32
 
 
 class CovarianceKernel(Kernel):

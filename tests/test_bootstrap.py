@@ -104,25 +104,43 @@ def _gamma(m, unit):
     return m * unit / (1.0 - m * unit)
 
 
-def _f32_atol(e, g_hat, scale):
+def _f32_atol(e, mag, scale, rounds=2):
     """Bound on |draw - float64 reference| for draws whose block products run
-    in float32 from the float64 multipliers e and estimates g_hat, both
-    rounded once to float32 (g_hat after an exact power-of-two scale).  A
-    float32 sum of n such products errs by at most
-    gamma_{n+2} sum_i |e_di||g_ic| (Higham, Accuracy and Stability of
+    in float32.  ``rounds`` counts the float32 roundings in each product's
+    operands, relative to the magnitudes ``mag`` (|ghat| or larger): that
+    of the multiplier e_di and those of the block entry (after an exact
+    power-of-two scale).  A float32 sum of n such products errs by at most
+    gamma_{n+rounds} sum_i |e_di| mag_ic (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., sec. 3.1), in any summation order; a
-    maximum moves by at most its largest entry's error, and the reference's
-    own float64 sum and both sides' 2/n or 1/sqrt(n) ``scale`` add a few
-    float64 ulps."""
+    maximum moves by at most its largest entry's error.  The reference's own
+    float64 ghat and sum add at most 3 gamma_{n+5} at 2^-53 of the same sum
+    (3 bounds (|C / 2| + |U|) / |C / 2 - U| for covariance estimates), and
+    both sides' 2/n or 1/sqrt(n) ``scale`` a few float64 ulps."""
     n = e.shape[1]
-    worst = scale * (np.abs(e) @ np.abs(g_hat)).max()
-    return worst * (_gamma(n + 2, 2.0**-24) + _gamma(n, 2.0**-53)) + 8 * np.spacing(worst)
+    worst = scale * (np.abs(e) @ np.abs(mag)).max()
+    relative = _gamma(n + rounds, 2.0**-24) + 3 * _gamma(n + 5, 2.0**-53)
+    return worst * relative + 8 * np.spacing(worst)
+
+
+def _magnitudes(g):
+    """(mag, rounds) of ``_f32_atol`` for the float32 blocks of g.  A
+    materialized ghat: |ghat|, and the roundings of e_di and of the entry.
+    Covariance estimates: |d_j d_k| / 2 + |C / 2 - U|, and the roundings of
+    e_di, d_j, d_k (its half is exact), their product and the add of
+    C / 2 - U, itself rounded once."""
+    if isinstance(g, kernels._CovarianceEstimates):
+        d_t, _, half_c = g._factors
+        j, k = vech_pairs(g.p)
+        return np.abs(d_t[j] * d_t[k]).T / 2.0 + np.abs(half_c - vech(g.train_u)), 5
+    return np.abs(g.g_hat), 2
 
 
 def _draws_atol(g, b, scaling, seed, *key):
     """``_f32_atol`` for the b draws of g on the substream (seed, *key)."""
     e = substream(seed, *key).standard_normal((b, g.n))
-    return _f32_atol(e, g.g_hat, 1.0 / math.sqrt(g.n) if scaling == "raw" else 2.0 / g.n)
+    mag, rounds = _magnitudes(g)
+    scale = 1.0 / math.sqrt(g.n) if scaling == "raw" else 2.0 / g.n
+    return _f32_atol(e, mag, scale, rounds)
 
 
 def test_draw_bootstrap_deterministic_and_sorted():
@@ -357,18 +375,43 @@ def test_blocked_draws_match_the_unblocked_product(kernel, p):
 
 @pytest.mark.parametrize("n, p", [(200, 40), (1000, 20), (21, 300), (50, 3)])
 def test_covariance_draws_equal_the_materialized_draws(n, p):
-    # the covariance estimates fill g_hat's columns from its factors, which is
-    # only a storage choice: the draws of the same g_hat materialized are the
-    # same bits, at (21, 300) across many column blocks
+    # the covariance draws fill float32 blocks from factors rounded once;
+    # those blocks times their power of two, materialized as a float64 ghat
+    # in the same layout, give the same bits through the default cast, at
+    # (21, 300) across many column blocks
     data = np.random.default_rng(n + p).standard_normal((2, n, p)) + 3.0
     g = estimate_g_decoupled(*data, CovarianceKernel())
-    materialized = DecoupledGEstimates(g.g_hat, g.train_u)
+    rounded = [
+        np.ldexp(x.T, k, dtype=np.float64)
+        for x, k in g._float32_blocks(_column_blocks(p, g.n))
+    ]
+    materialized = DecoupledGEstimates(np.concatenate(rounded).T, g.train_u)
     for scaling in SCALINGS:
         for restriction in RESTRICTIONS:
             np.testing.assert_array_equal(
                 draw_bootstrap(g, 200, scaling, restriction, 4, 1).values,
                 draw_bootstrap(materialized, 200, scaling, restriction, 4, 1).values,
             )
+
+
+@pytest.mark.parametrize("n, p", [(200, 40), (1000, 20), (21, 300)])
+@pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+def test_covariance_draws_hold_the_float32_bound(n, p, mixed):
+    # against draws from the float64 ghat, within the bound of the factors'
+    # float32 fill; mixed scales every other column by 2^40 and the rest by
+    # 2^-40, so one exponent serves entries 2^160 apart and the small
+    # columns' products fall below float32's range
+    data = np.random.default_rng(n * p).standard_normal((2 * n + 1, p)) + 3.0
+    if mixed:
+        data = np.ldexp(data, np.where(np.arange(p) % 2 == 0, 40, -40))
+    g = estimate_g_decoupled(*split_sample(data, 5, 1), CovarianceKernel())
+    for scaling in SCALINGS:
+        for restriction in RESTRICTIONS:
+            got = draw_bootstrap(g, 200, scaling, restriction, 6, 2).values
+            want = _unblocked_draws(g, 200, scaling, restriction, 6, 2)
+            atol = _draws_atol(g, 200, scaling, 6, 2)
+            assert atol < 1e-2 * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("kernel", [CovarianceKernel(), KendallKernel()])
@@ -428,9 +471,9 @@ def test_draws_never_alias_the_pool(kernel):
 
 
 def test_repeated_covariance_draw_allocates_no_work_arrays():
-    # at n = 1000, B = 200 the multipliers are 1.6 MB; a second draw of the
-    # same shapes takes them, the block buffer and the product buffer from
-    # the pool
+    # at n = 1000, B = 200 the float32 multipliers are 0.8 MB and their
+    # float64 chunk of rows 128 KB; a second draw of the same shapes takes
+    # them, the float32 block buffer and the product buffer from the pool
     n, p, b = 1000, 20, 200
     g = estimate_g_decoupled(
         *np.random.default_rng(3).standard_normal((2, n, p)), CovarianceKernel()

@@ -8,6 +8,7 @@ from ustatboot.bootstrap import bootstrap_halves
 from ustatboot.inference import test_ustat_mean as ustat_mean_test
 from ustatboot.kernels import (
     CovarianceKernel,
+    DecoupledGEstimates,
     Kernel,
     KendallKernel,
     _KENDALL_BLOCK,
@@ -257,9 +258,19 @@ class PairCovariance(Kernel):
         return np.outer(d, d) / 2.0
 
 
+class MaterializedCovariance(CovarianceKernel):
+    """The covariance kernel with its float64 ghat materialized, so that its
+    draws take the default float32 cast of ``blocks``."""
+
+    def _estimates(self, main, train):
+        g = super()._estimates(main, train)
+        return DecoupledGEstimates(g.g_hat, g.train_u)
+
+
 def test_user_kernel_plugs_into_the_bootstrap():
     # a subclass that defines only __call__ runs through the pair loops and
-    # the materialized estimates, and matches the closed forms
+    # the materialized estimates, and matches the closed forms on the same
+    # draw path
     data = np.random.default_rng(12).standard_normal((30, 4))
 
     def run(kernel):
@@ -269,7 +280,7 @@ def test_user_kernel_plugs_into_the_bootstrap():
         )
         return u.u, draws.values, test.draws.values, test.statistic
 
-    got, want = run(PairCovariance()), run(CovarianceKernel())
+    got, want = run(PairCovariance()), run(MaterializedCovariance())
     np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12)
     for g, w in zip(got[1:], want[1:]):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0)
