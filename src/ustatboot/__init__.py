@@ -38,7 +38,14 @@ from .estimators import (
     solve_dantzig_linfun,
     threshold_cov,
 )
-from .inference import TestResult, test_covariance, test_kendall, test_ustat_mean
+from .inference import (
+    TestResult,
+    covariance_null_draws,
+    kendall_null_draws,
+    test_covariance,
+    test_kendall,
+    test_ustat_mean,
+)
 from .kernels import CovarianceKernel, Kernel, KendallKernel
 from .matstat import (
     NotPositiveDefiniteError,
@@ -87,6 +94,8 @@ __all__ = [
     "solve_dantzig_linfun",
     "threshold_cov",
     "TestResult",
+    "covariance_null_draws",
+    "kendall_null_draws",
     "test_covariance",
     "test_kendall",
     "test_ustat_mean",

@@ -37,8 +37,8 @@ from ..estimators import (
     threshold_cov,
 )
 from ..gaussian_approx import kolmogorov_distance
-from ..inference import _null_draws
-from ..kernels import CovarianceKernel, KendallKernel
+from ..inference import covariance_null_draws, kendall_null_draws
+from ..kernels import CovarianceKernel
 from ..matstat import matrix_l1_norm, sup_norm
 from ..ustat import UStatResult, compute_u, sup_stat
 from .config import EXPERIMENT_NAMES, ExperimentConfig
@@ -294,15 +294,9 @@ def _test_size_rep(
     level of the grid at once."""
     tag, n2, b = _TAGS["test_size"], 2 * cfg.n, cfg.bootstrap_b
     data = sample(model, n2, cfg.seed, tag, r, 0)
-    cov = _null_draws(
-        data, CovarianceKernel(), sigma, b, cfg.seed, tag, r, 1, restriction="offdiag"
-    )
+    cov = covariance_null_draws(data, sigma, b, cfg.seed, tag, r, 1)
     data_k = sample(ind_model, n2, cfg.seed, tag, r, 3)
-    # T0 = I on the sign-product kernel's scale, tau_a + 1 (``test_kendall``)
-    ken = _null_draws(
-        data_k, KendallKernel(), np.eye(cfg.p) + 1.0, b, cfg.seed, tag, r, 4,
-        restriction="offdiag",
-    )
+    ken = kendall_null_draws(data_k, np.eye(cfg.p), b, cfg.seed, tag, r, 4)
     return np.concatenate(
         [draws.rejects(stat, cfg.alpha_grid) for stat, draws in (cov, ken)]
     )

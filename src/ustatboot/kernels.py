@@ -26,13 +26,12 @@ ghat = ``cross_mean(main, train)`` - vech(``u_stat(train)``) is materialized
 (:class:`DecoupledGEstimates`).  Covariance ghat (j, k) is
 d_j * (d_k / 2) + C_jk / 2 - U_jk with d = main - mean(train), C the mean
 of the training half's centred outer products and U = U(train); its
-estimates keep only d^T, d^T / 2, vech(C) / 2 and vech(U) and fill each
-block from them.  Halving is exact, so every column of ``blocks`` and
-``g_hat`` equals the materialized one bit for bit.  The draws instead take
-blocks filled in float32 from d^T / 2^a, its half and vech(C / 2 - U) / 4^a,
-each rounded to float32 once per estimates object: their blocks differ from
-ghat's float32 cast by a few float32 roundings (the ``bootstrap`` module
-docstring bounds the draws' error).
+estimates keep only d^T, d^T / 2, vech(C) / 2 and vech(U).  Halving is
+exact, so ``g_hat`` built from them equals the materialized one bit for
+bit.  The draws take blocks filled in float32 from d^T / 2^a, its half and
+vech(C / 2 - U) / 4^a, each rounded to float32 once per estimates object:
+their blocks differ from ghat's float32 cast by a few float32 roundings
+(the ``bootstrap`` module docstring bounds the draws' error).
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
 h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
@@ -214,8 +213,9 @@ class DecoupledGEstimates:
         """Yield the columns g_hat[:, lo:hi] per block (k0, lo, hi, diag) of
         the ``bootstrap._column_blocks`` schedule, each valid until the next
         block is asked for."""
+        g_hat = self.g_hat
         for _, lo, hi, _ in schedule:
-            yield self.g_hat[:, lo:hi]
+            yield g_hat[:, lo:hi]
 
     def _float32_blocks(self, schedule: tuple):
         """Yield (x, k) per block of the schedule, with x a float32 array
@@ -307,10 +307,9 @@ def _vech_rows(factors: tuple, u: np.ndarray | None, k0: int, lo: int, out: np.n
 class _CovarianceEstimates(DecoupledGEstimates):
     """Covariance-kernel ghat from its ``_cross_factors``: column (j, k) is
     d_j * (d_k / 2) + C_jk / 2 - U_jk with U = ``train_u``.  Only ``g_hat``
-    builds the (n, p(p+1)/2) matrix; ``blocks`` fills its columns in one
-    reused buffer.  ``_float32_blocks`` fills float32 blocks the same way
-    from d^T / 2^a, its exact half and vech(C / 2 - U) / 4^a, rounded once
-    here; a is the larger of the exponents of max |d| and of
+    (and so ``blocks``) builds the (n, p(p+1)/2) matrix; ``_float32_blocks``
+    fills float32 blocks in one reused buffer from d^T / 2^a, its exact half
+    and vech(C / 2 - U) / 4^a, rounded once here; a is the larger of the exponents of max |d| and of
     sqrt(max |C / 2 - U|), so every factor and block entry is below 2 in
     magnitude and none overflows float32."""
 
@@ -332,12 +331,6 @@ class _CovarianceEstimates(DecoupledGEstimates):
         """ghat built on demand, bit for bit ``cross_mean`` - vech(U)."""
         out = np.empty((self._u.size, self.n))
         return _vech_rows(self._factors, self._u, 0, 0, out).T
-
-    def blocks(self, schedule: tuple):
-        width = max(hi - lo for _, lo, hi, _ in schedule)
-        buf = _work_array("bootstrap.block", (width, self.n))
-        for k0, lo, hi, _ in schedule:
-            yield _vech_rows(self._factors, self._u, k0, lo, buf[: hi - lo]).T
 
     def _float32_blocks(self, schedule: tuple):
         width = max(hi - lo for _, lo, hi, _ in schedule)

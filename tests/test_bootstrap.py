@@ -104,7 +104,7 @@ def _gamma(m, unit):
     return m * unit / (1.0 - m * unit)
 
 
-def _f32_atol(e, mag, scale, rounds=2):
+def _f32_atol(e, mag, scale, rounds=2, reference=None):
     """Bound on |draw - float64 reference| for draws whose block products run
     in float32.  ``rounds`` counts the float32 roundings in each product's
     operands, relative to the magnitudes ``mag`` (|ghat| or larger): that
@@ -113,34 +113,39 @@ def _f32_atol(e, mag, scale, rounds=2):
     gamma_{n+rounds} sum_i |e_di| mag_ic (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., sec. 3.1), in any summation order; a
     maximum moves by at most its largest entry's error.  The reference's own
-    float64 ghat and sum add at most 3 gamma_{n+5} at 2^-53 of the same sum
-    (3 bounds (|C / 2| + |U|) / |C / 2 - U| for covariance estimates), and
-    both sides' 2/n or 1/sqrt(n) ``scale`` a few float64 ulps."""
+    float64 sum errs by at most ``reference`` (by default gamma_n at 2^-53)
+    of the same sum, and both sides' 2/n or 1/sqrt(n) ``scale`` a few
+    float64 ulps."""
     n = e.shape[1]
+    if reference is None:
+        reference = _gamma(n, 2.0**-53)
     worst = scale * (np.abs(e) @ np.abs(mag)).max()
-    relative = _gamma(n + rounds, 2.0**-24) + 3 * _gamma(n + 5, 2.0**-53)
-    return worst * relative + 8 * np.spacing(worst)
+    return worst * (_gamma(n + rounds, 2.0**-24) + reference) + 8 * np.spacing(worst)
 
 
 def _magnitudes(g):
-    """(mag, rounds) of ``_f32_atol`` for the float32 blocks of g.  A
-    materialized ghat: |ghat|, and the roundings of e_di and of the entry.
-    Covariance estimates: |d_j d_k| / 2 + |C / 2 - U|, and the roundings of
-    e_di, d_j, d_k (its half is exact), their product and the add of
-    C / 2 - U, itself rounded once."""
+    """(mag, rounds, reference) of ``_f32_atol`` for the float32 blocks of
+    g.  A materialized ghat: |ghat|, the roundings of e_di and of the entry,
+    and the reference's float64 sum.  Covariance estimates:
+    |d_j d_k| / 2 + |C / 2 - U|, the roundings of e_di, d_j, d_k (its half
+    is exact), their product and the add of C / 2 - U, itself rounded once;
+    the reference's float64 ghat also rounds the product, C / 2 - U and the
+    sum's terms, 3 gamma_{n+5} at 2^-53 of the sum, 3 bounding
+    (|C / 2| + |U|) / |C / 2 - U|."""
     if isinstance(g, kernels._CovarianceEstimates):
         d_t, _, half_c = g._factors
         j, k = vech_pairs(g.p)
-        return np.abs(d_t[j] * d_t[k]).T / 2.0 + np.abs(half_c - vech(g.train_u)), 5
-    return np.abs(g.g_hat), 2
+        mag = np.abs(d_t[j] * d_t[k]).T / 2.0 + np.abs(half_c - vech(g.train_u))
+        return mag, 5, 3 * _gamma(g.n + 5, 2.0**-53)
+    return np.abs(g.g_hat), 2, None
 
 
 def _draws_atol(g, b, scaling, seed, *key):
     """``_f32_atol`` for the b draws of g on the substream (seed, *key)."""
     e = substream(seed, *key).standard_normal((b, g.n))
-    mag, rounds = _magnitudes(g)
     scale = 1.0 / math.sqrt(g.n) if scaling == "raw" else 2.0 / g.n
-    return _f32_atol(e, mag, scale, rounds)
+    mag, rounds, reference = _magnitudes(g)
+    return _f32_atol(e, mag, scale, rounds, reference)
 
 
 def test_draw_bootstrap_deterministic_and_sorted():

@@ -13,6 +13,8 @@ from ustatboot.bootstrap import (
 from ustatboot import inference
 from ustatboot.distributions import build_v, contaminated_normal, population_sigma, sample
 from ustatboot.inference import (
+    covariance_null_draws,
+    kendall_null_draws,
     test_covariance as covariance_test,
     test_kendall as kendall_test,
     test_ustat_mean as ustat_mean_test,
@@ -106,6 +108,27 @@ def test_kendall_test_shift_invariance(m1_data):
     assert a.critical_value == b.critical_value
     assert b.statistic >= 0.9 - a.statistic - 1e-12
     assert b.reject
+
+
+@pytest.mark.parametrize(
+    "run_test, null_draws, null",
+    [
+        (covariance_test, covariance_null_draws, population_sigma),
+        (kendall_test, kendall_null_draws, lambda model: np.eye(8)),
+    ],
+    ids=["covariance", "kendall"],
+)
+def test_null_draws_are_the_tests_statistic_and_draws(m1_data, run_test, null_draws, null):
+    # the draws-only form of each test gives its statistic and draws, and
+    # these decide every level as the test does
+    model, data = m1_data
+    stat, draws = null_draws(data, null(model), 50, 9, 2)
+    alphas = (0.05, 0.1, 0.5)
+    rejects = draws.rejects(stat, alphas)
+    for alpha, reject in zip(alphas, rejects):
+        res = run_test(data, null(model), alpha, 50, 9, 2)
+        assert res.statistic == stat and res.reject is bool(reject)
+        np.testing.assert_array_equal(res.draws.values, draws.values)
 
 
 def _binomial_band(reps, prob, tail):
