@@ -9,113 +9,15 @@ tuning-parameter selection).
 
 __version__ = "0.1.0"
 
-from .bootstrap import (
-    BootstrapDraws,
-    DecoupledGEstimates,
-    DegenerateBootstrapError,
-    bootstrap_halves,
-    draw_bootstrap,
-    estimate_g_decoupled,
-    quantile,
-    split_sample,
-)
-from .distributions import (
-    EllipticalModel,
-    build_v,
-    contaminated_normal,
-    elliptic_t,
-    kurtosis_kappa,
-    population_sigma,
-    sample,
-)
-from .estimators import (
-    ClimeInfeasibleError,
-    LinFunSolution,
-    error_metrics,
-    select_lambda_star,
-    select_tau_star,
-    solve_clime,
-    solve_dantzig_linfun,
-    threshold_cov,
-)
-from .inference import (
-    TestResult,
-    covariance_null_draws,
-    kendall_null_draws,
-    test_covariance,
-    test_kendall,
-    test_ustat_mean,
-)
-from .kernels import CovarianceKernel, Kernel, KendallKernel
-from .matstat import (
-    NotPositiveDefiniteError,
-    frobenius_norm,
-    matrix_l1_norm,
-    spectral_norm,
-    sup_norm,
-    unvech,
-    vech,
-    vech_index,
-    vech_pairs,
-)
-from .ustat import (
-    EmpiricalHoeffding,
-    UStatResult,
-    compute_u,
-    kendall_tau_matrix,
-    population_f_covariance,
-    population_g_covariance,
-    sup_stat,
-)
+from . import bootstrap, distributions, estimators, inference, kernels, matstat, ustat
+from .bootstrap import *
+from .distributions import *
+from .estimators import *
+from .inference import *
+from .kernels import *
+from .matstat import *
+from .ustat import *
 
-__all__ = [
-    "__version__",
-    "BootstrapDraws",
-    "DecoupledGEstimates",
-    "DegenerateBootstrapError",
-    "bootstrap_halves",
-    "draw_bootstrap",
-    "estimate_g_decoupled",
-    "quantile",
-    "split_sample",
-    "EllipticalModel",
-    "build_v",
-    "contaminated_normal",
-    "elliptic_t",
-    "kurtosis_kappa",
-    "population_sigma",
-    "sample",
-    "ClimeInfeasibleError",
-    "LinFunSolution",
-    "error_metrics",
-    "select_lambda_star",
-    "select_tau_star",
-    "solve_clime",
-    "solve_dantzig_linfun",
-    "threshold_cov",
-    "TestResult",
-    "covariance_null_draws",
-    "kendall_null_draws",
-    "test_covariance",
-    "test_kendall",
-    "test_ustat_mean",
-    "CovarianceKernel",
-    "Kernel",
-    "KendallKernel",
-    "NotPositiveDefiniteError",
-    "frobenius_norm",
-    "matrix_l1_norm",
-    "spectral_norm",
-    "sup_norm",
-    "unvech",
-    "vech",
-    "vech_index",
-    "vech_pairs",
-    "EmpiricalHoeffding",
-    "UStatResult",
-    "compute_u",
-    "kendall_tau_matrix",
-    "population_f_covariance",
-    "population_g_covariance",
-    "sup_stat",
-]
+# each module's ``__all__`` is its public API; the package exports all of them
+_MODULES = (bootstrap, distributions, estimators, inference, kernels, matstat, ustat)
+__all__ = ["__version__"] + [name for module in _MODULES for name in module.__all__]

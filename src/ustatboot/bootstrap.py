@@ -72,7 +72,6 @@ from .ustat import UStatResult, check_maximum, compute_u, entry_max, sup_stat
 __all__ = [
     "DegenerateBootstrapError",
     "DecoupledGEstimates",
-    "check_level",
     "BootstrapDraws",
     "split_sample",
     "estimate_g_decoupled",

@@ -1,11 +1,11 @@
 """Gaussian side of the two-step sup-norm approximation.
 
-Covariance Gamma_g of the half-vectorized Hajek projection, in empirical and
-analytic elliptical form, and Kolmogorov distances between empirical
-distributions.  Gaussian maxima are drawn by the wild bootstrap
-(:mod:`ustatboot.bootstrap`), and the naive moment-matched baseline of
-``naive_vs_hajek`` is Gaussian data drawn by
-:func:`ustatboot.distributions.sample`.
+Covariance Gamma_g of the half-vectorized Hajek projection in analytic
+elliptical form (its empirical counterpart is ``np.cov(rows, rowvar=False)``
+of vech rows), and Kolmogorov distances between empirical distributions.
+Gaussian maxima are drawn by the wild bootstrap (:mod:`ustatboot.bootstrap`),
+and the naive moment-matched baseline of ``naive_vs_hajek`` is Gaussian data
+drawn by :func:`ustatboot.distributions.sample`.
 """
 
 from __future__ import annotations
@@ -14,21 +14,7 @@ import numpy as np
 
 from .matstat import as_sym, vech_pairs
 
-__all__ = [
-    "estimate_gamma_g",
-    "analytic_gamma_g_elliptical",
-    "kolmogorov_distance",
-]
-
-
-def estimate_gamma_g(rows: np.ndarray) -> np.ndarray:
-    """Empirical covariance (ddof=1) of n half-vectorized rows, as an (m, m)
-    array indexed by column-major lower-triangle pairs (j, k), j >= k."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 2:
-        raise ValueError("need an (n, m) array of vech rows with n >= 2")
-    m = rows.shape[1]
-    return np.cov(rows, rowvar=False).reshape(m, m)  # (1, 1) at m = 1, not 0-d
+__all__ = ["analytic_gamma_g_elliptical", "kolmogorov_distance"]
 
 
 def analytic_gamma_g_elliptical(sigma: np.ndarray, kappa: float) -> np.ndarray:

@@ -26,12 +26,13 @@ ghat = ``cross_mean(main, train)`` - vech(``u_stat(train)``) is materialized
 (:class:`DecoupledGEstimates`).  Covariance ghat (j, k) is
 d_j * (d_k / 2) + C_jk / 2 - U_jk with d = main - mean(train), C the mean
 of the training half's centred outer products and U = U(train); its
-estimates keep only d^T, d^T / 2, vech(C) / 2 and vech(U).  Halving is
-exact, so ``g_hat`` built from them equals the materialized one bit for
-bit.  The draws take blocks filled in float32 from d^T / 2^a, its half and
-vech(C / 2 - U) / 4^a, each rounded to float32 once per estimates object:
-their blocks differ from ghat's float32 cast by a few float32 roundings
-(the ``bootstrap`` module docstring bounds the draws' error).
+estimates keep only d^T, vech(C) / 2 and vech(U), and ``g_hat`` halves d^T
+when it builds ghat.  Halving is exact, so that ghat equals the materialized
+one bit for bit.  The draws take blocks filled in float32 from d^T / 2^a,
+its half and vech(C / 2 - U) / 4^a, each rounded to float32 once per
+estimates object: their blocks differ from ghat's float32 cast by a few
+float32 roundings (the ``bootstrap`` module docstring bounds the draws'
+error).
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
 h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
@@ -62,12 +63,7 @@ import numpy as np
 
 from .matstat import check_symmetric, vech, vech_pairs
 
-__all__ = [
-    "Kernel",
-    "CovarianceKernel",
-    "KendallKernel",
-    "check_data",
-]
+__all__ = ["Kernel", "CovarianceKernel", "KendallKernel"]
 
 # rows of the first sample per block of Kendall sign products: at n = 200,
 # p = 40 a block's int16 differences and float32 signs take 0.77 MB, and
@@ -275,24 +271,24 @@ class Kernel:
 
 
 def _cross_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """(d^T, d^T / 2, vech(G) / (2 n_y)) with d = xs - ybar as contiguous
-    (p, n_x) arrays, so that the covariance kernel's mean_j h(x_i, y_j) =
+    """(d^T, vech(G) / (2 n_y)) with d = xs - ybar, d^T a contiguous (p, n_x)
+    array, so that the covariance kernel's mean_j h(x_i, y_j) =
     (d_i d_i^T + G / n_y) / 2; and the centred Gram G of ``ys`` itself."""
     xs, ys = _check_samples(xs, ys)
     ybar = ys.mean(axis=0)
     cy = ys - ybar
     gram = cy.T @ cy
     d_t = np.subtract(xs.T, ybar[:, None], order="C")
-    return (d_t, d_t / 2.0, vech(gram) / (2 * ys.shape[0])), gram
+    return (d_t, vech(gram) / (2 * ys.shape[0])), gram
 
 
 def _vech_rows(factors: tuple, u: np.ndarray | None, k0: int, lo: int, out: np.ndarray):
     """Fill and return ``out`` with the rows for vech positions lo, lo + 1,
     ... (the first is (k0, k0)) of the covariance kernel's mean over the
     second sample less vech(U) = ``u`` (None for none): row (j, k) is
-    d_j * (d_k / 2) + C_jk / 2 - U_jk for the ``_cross_factors``.  Halving is
-    exact, so that is (d_j d_k + C_jk) / 2 - U_jk bit for bit.  Every
-    operation runs in ``out``'s dtype."""
+    d_j * (d_k / 2) + C_jk / 2 - U_jk for ``factors`` (d^T, d^T / 2,
+    vech(C) / 2).  Halving is exact, so that is (d_j d_k + C_jk) / 2 - U_jk
+    bit for bit.  Every operation runs in ``out``'s dtype."""
     d_t, half_d_t, half_c = factors
     p, start, k, hi = d_t.shape[0], 0, k0, lo + len(out)
     while start < len(out):
@@ -309,16 +305,16 @@ class _CovarianceEstimates(DecoupledGEstimates):
     d_j * (d_k / 2) + C_jk / 2 - U_jk with U = ``train_u``.  Only ``g_hat``
     (and so ``blocks``) builds the (n, p(p+1)/2) matrix; ``_float32_blocks``
     fills float32 blocks in one reused buffer from d^T / 2^a, its exact half
-    and vech(C / 2 - U) / 4^a, rounded once here; a is the larger of the exponents of max |d| and of
-    sqrt(max |C / 2 - U|), so every factor and block entry is below 2 in
-    magnitude and none overflows float32."""
+    and vech(C / 2 - U) / 4^a, rounded once here; a is the larger of the
+    exponents of max |d| and of sqrt(max |C / 2 - U|), so every factor and
+    block entry is below 2 in magnitude and none overflows float32."""
 
-    def __init__(self, factors: tuple[np.ndarray, ...], train_u: np.ndarray):
+    def __init__(self, factors: tuple[np.ndarray, np.ndarray], train_u: np.ndarray):
         self._factors = factors
         self._u = vech(train_u)
         self.train_u = train_u
         self.n = factors[0].shape[1]
-        d_t, _, half_c = factors
+        d_t, half_c = factors
         c = half_c - self._u
         a = max(_exponent(d_t), math.ceil(_exponent(c) / 2))
         d32 = np.ldexp(d_t, -a).astype(np.float32)
@@ -329,8 +325,9 @@ class _CovarianceEstimates(DecoupledGEstimates):
     @property
     def g_hat(self) -> np.ndarray:
         """ghat built on demand, bit for bit ``cross_mean`` - vech(U)."""
+        d_t, half_c = self._factors
         out = np.empty((self._u.size, self.n))
-        return _vech_rows(self._factors, self._u, 0, 0, out).T
+        return _vech_rows((d_t, d_t / 2.0, half_c), self._u, 0, 0, out).T
 
     def _float32_blocks(self, schedule: tuple):
         width = max(hi - lo for _, lo, hi, _ in schedule)
@@ -356,9 +353,9 @@ class CovarianceKernel(Kernel):
         return (c.T @ c) / (n - 1)
 
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        factors, _ = _cross_factors(xs, ys)
-        d_t, _, half_c = factors
-        return _vech_rows(factors, None, 0, 0, np.empty((half_c.size, d_t.shape[1]))).T
+        (d_t, half_c), _ = _cross_factors(xs, ys)
+        out = np.empty((half_c.size, d_t.shape[1]))
+        return _vech_rows((d_t, d_t / 2.0, half_c), None, 0, 0, out).T
 
     def _estimates(self, main: np.ndarray, train: np.ndarray) -> DecoupledGEstimates:
         # only ghat's factors are kept (module docstring); U(train) = G / (n - 1)

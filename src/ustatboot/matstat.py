@@ -8,15 +8,11 @@ numpy arrays.
 from __future__ import annotations
 
 import functools
-import warnings
 
 import numpy as np
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "as_sym",
-    "check_symmetric",
-    "vech_index",
     "vech_pairs",
     "vech",
     "unvech",
@@ -24,10 +20,9 @@ __all__ = [
     "spectral_norm",
     "frobenius_norm",
     "matrix_l1_norm",
-    "cholesky",
 ]
 
-ASYM_WARN_TOL = 1e-12
+ASYM_TOL = 1e-12
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -35,34 +30,16 @@ class NotPositiveDefiniteError(ValueError):
 
 
 def as_sym(a: np.ndarray) -> np.ndarray:
-    """Validate and symmetrize a square matrix.
-
-    Kernel sums drift at floating-point level, so asymmetry up to
-    ``ASYM_WARN_TOL`` is silently averaged out; anything larger is averaged
-    with a warning.  A NaN or infinite entry raises ValueError.
-    """
+    """A finite, nonempty square matrix that ``check_symmetric`` accepts,
+    averaged with its transpose: kernel sums drift at floating-point level,
+    and the average removes that drift.  Anything else raises ValueError."""
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix dimension must be >= 1")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    asym = np.max(np.abs(a - a.T)) if a.size else 0.0
-    if asym > ASYM_WARN_TOL:
-        warnings.warn(
-            f"symmetrizing matrix with asymmetry {asym:g} > {ASYM_WARN_TOL:g}",
-            stacklevel=2,
-        )
+    a = check_symmetric(a)
+    if a.shape[0] < 1:
+        raise ValueError("matrix dimension must be >= 1")
     return (a + a.T) / 2.0
-
-
-def vech_index(j: int, k: int, p: int) -> int:
-    """Linear position of entry (j, k), 1-based with j >= k, in the
-    column-major lower-triangle enumeration of a p x p symmetric matrix."""
-    if not (1 <= k <= j <= p):
-        raise IndexError(f"need 1 <= k <= j <= p, got (j={j}, k={k}, p={p})")
-    return (k - 1) * p - (k - 1) * (k - 2) // 2 + (j - k)
 
 
 @functools.lru_cache(maxsize=64)
@@ -119,7 +96,7 @@ def matrix_l1_norm(m: np.ndarray) -> float:
 
 def check_symmetric(m: np.ndarray) -> np.ndarray:
     """``m`` as float64 after checking it is a square matrix whose asymmetry
-    max|m - m^T| is at most ``ASYM_WARN_TOL`` relative to max(1, max|m|);
+    max|m - m^T| is at most ``ASYM_TOL`` relative to max(1, max|m|);
     raises ValueError otherwise.  Routines that read one triangle would
     silently misread anything else."""
     m = np.asarray(m, dtype=np.float64)
@@ -127,7 +104,7 @@ def check_symmetric(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     asym = (m - m.T).max(initial=0.0)  # antisymmetric: its max is max|.|
     # the tolerance times max(1, max|m|), with max|m| found only when needed
-    if asym > ASYM_WARN_TOL and asym > ASYM_WARN_TOL * np.abs(m).max():
+    if asym > ASYM_TOL and asym > ASYM_TOL * np.abs(m).max():
         raise ValueError(f"matrix is not symmetric: max|m - m^T| = {asym:g}")
     return m
 

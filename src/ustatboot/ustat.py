@@ -10,14 +10,10 @@ from .kernels import Kernel, KendallKernel, check_data
 from .matstat import unvech
 
 __all__ = [
-    "SCALINGS",
-    "RESTRICTIONS",
     "UStatResult",
     "EmpiricalHoeffding",
     "compute_u",
     "kendall_tau_matrix",
-    "check_maximum",
-    "entry_max",
     "sup_stat",
     "population_g_covariance",
     "population_f_covariance",

@@ -133,7 +133,7 @@ def _magnitudes(g):
     sum's terms, 3 gamma_{n+5} at 2^-53 of the sum, 3 bounding
     (|C / 2| + |U|) / |C / 2 - U|."""
     if isinstance(g, kernels._CovarianceEstimates):
-        d_t, _, half_c = g._factors
+        d_t, half_c = g._factors
         j, k = vech_pairs(g.p)
         mag = np.abs(d_t[j] * d_t[k]).T / 2.0 + np.abs(half_c - vech(g.train_u))
         return mag, 5, 3 * _gamma(g.n + 5, 2.0**-53)

@@ -209,3 +209,13 @@ def test_non_finite_null_matrix_raises(m1_data, run_test, bad):
     null[0, 1] = null[1, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         run_test(data, null, 0.05, 50, 7)
+
+
+@pytest.mark.parametrize("run_test", [covariance_test, kendall_test])
+def test_asymmetric_null_matrix_raises(m1_data, run_test):
+    # one symmetry rule (matstat.check_symmetric): no averaged-away asymmetry
+    _, data = m1_data
+    null = np.eye(data.shape[1])
+    null[0, 1] = 0.5
+    with pytest.raises(ValueError, match="not symmetric"):
+        run_test(data, null, 0.05, 50, 7)

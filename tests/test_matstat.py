@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ustatboot.distributions import population_sigma
 from ustatboot.harness.config import default_config
 from ustatboot.matstat import (
-    ASYM_WARN_TOL,
+    ASYM_TOL,
     NotPositiveDefiniteError,
     as_sym,
     cholesky,
@@ -18,7 +18,6 @@ from ustatboot.matstat import (
     sup_norm,
     unvech,
     vech,
-    vech_index,
     vech_pairs,
 )
 
@@ -28,24 +27,13 @@ def random_sym(rng, p):
     return (a + a.T) / 2.0
 
 
-def test_vech_index_enumerates_lower_triangle_by_columns():
-    # p = 3: order (1,1),(2,1),(3,1),(2,2),(3,2),(3,3)
-    expected = {(1, 1): 0, (2, 1): 1, (3, 1): 2, (2, 2): 3, (3, 2): 4, (3, 3): 5}
-    for (j, k), pos in expected.items():
-        assert vech_index(j, k, 3) == pos
-    with pytest.raises(IndexError):
-        vech_index(1, 2, 3)
-    with pytest.raises(IndexError):
-        vech_index(4, 1, 3)
-
-
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_vech_pairs_consistent_with_vech_index(p):
+    # the vech index of (j, k), j >= k, is its position in the lower triangle
+    # enumerated by columns; p = 3: (0,0), (1,0), (2,0), (1,1), (2,1), (2,2)
     rows, cols = vech_pairs(p)
-    assert rows.shape == (p * (p + 1) // 2,)
-    for pos, (j, k) in enumerate(zip(rows, cols)):
-        assert j >= k
-        assert vech_index(j + 1, k + 1, p) == pos
+    expected = [(j, k) for k in range(p) for j in range(k, p)]
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
 
 
 def test_vech_pairs_built_once_per_p_and_read_only():
@@ -135,7 +123,7 @@ def test_spectral_norm_asymmetry_tolerance_is_relative():
     # 2.3 and rounding asymmetry below 1e-15, which must pass
     sigma = population_sigma(default_config("clime_eval").build_model())
     omega = np.linalg.inv(sigma)
-    assert 0.0 < np.max(np.abs(omega - omega.T)) < ASYM_WARN_TOL
+    assert 0.0 < np.max(np.abs(omega - omega.T)) < ASYM_TOL
     assert spectral_norm(omega) == pytest.approx(
         np.max(np.abs(np.linalg.eigvalsh(omega))), rel=1e-12
     )
@@ -176,10 +164,13 @@ def test_cholesky_reports_failing_pivot():
             cholesky(m)
 
 
-def test_as_sym_warns_on_large_asymmetry():
-    a = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.warns(UserWarning):
-        s = as_sym(a)
-    np.testing.assert_allclose(s, np.array([[1.0, 0.25], [0.25, 1.0]]))
-    with pytest.raises(ValueError):
-        as_sym(np.zeros(3))
+def test_as_sym_raises_on_large_asymmetry():
+    # one rule with check_symmetric: asymmetry above ASYM_TOL relative to
+    # max(1, max|a|) raises; below it the matrix is averaged
+    with pytest.raises(ValueError, match="not symmetric"):
+        as_sym(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    a = np.array([[1e6, 0.5], [0.5 + 1e-7, 1.0]])
+    np.testing.assert_array_equal(as_sym(a), (a + a.T) / 2.0)
+    for bad in (np.zeros(3), np.zeros((0, 0))):
+        with pytest.raises(ValueError):
+            as_sym(bad)
