@@ -27,6 +27,23 @@ def random_sym(rng, p):
     return (a + a.T) / 2.0
 
 
+def test_vech_index_enumerates_lower_triangle_by_columns():
+    # p = 3: order (1,1),(2,1),(3,1),(2,2),(3,2),(3,3)
+    expected = {(1, 1): 0, (2, 1): 1, (3, 1): 2, (2, 2): 3, (3, 2): 4, (3, 3): 5}
+    rows, cols = vech_pairs(3)
+    position = {(j + 1, k + 1): pos for pos, (j, k) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    assert position == expected
+    # vech reads entry (j, k) of the matrix into that position
+    m = np.array([[10.0 * j + k for k in range(1, 4)] for j in range(1, 4)])
+    m = np.tril(m) + np.tril(m, -1).T
+    v = vech(m)
+    for (j, k), pos in expected.items():
+        assert v[pos] == m[j - 1, k - 1] == 10.0 * j + k
+    # no upper-triangle or out-of-range pair has a position
+    assert (1, 2) not in position
+    assert (4, 1) not in position
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
 def test_vech_pairs_consistent_with_vech_index(p):
     # the vech index of (j, k), j >= k, is its position in the lower triangle
