@@ -13,12 +13,12 @@ columns of ghat, then a running maximum per draw of that block's signed max
 or max |.|.  Each kernel builds its estimates in ``kernels``
 (``Kernel._estimates``), and every kernel's estimates hand the draws each
 block of ghat as float32 columns x and an exponent k, x 2^k the block
-(``DecoupledGEstimates._float32_blocks``): by default ghat's own columns
-(``blocks``, slices of a materialized ghat) scaled and cast, and for the
-covariance kernel blocks filled in float32 from factors.  The
-multipliers and every work array of a draw come from the per-thread pool of
-``kernels._work_array``, so repeated draws at one shape allocate none of
-them; what a draw returns is always a new array.
+(``DecoupledGEstimates._float32_blocks``): by default slices of a
+materialized ghat, scaled and cast, and for the covariance kernel blocks
+filled in float32 from factors.  The multipliers and every work array of a
+draw come from the per-thread pool of ``kernels._work_array``, so repeated
+draws at one shape allocate none of them; what a draw returns is always a
+new array.
 
 Only the block products run in float32.  The multipliers are drawn in
 float64 from their substream and rounded once to float32.  A materialized
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,6 +123,19 @@ def check_level(alpha: float) -> None:
     alpha below about 1e-16, 1 - alpha rounds to 1 and has no rank."""
     if not (0.0 < alpha < 1.0 and 1.0 - alpha < 1.0):
         raise ValueError(f"alpha and 1 - alpha must lie in (0, 1), got {alpha!r}")
+
+
+def check_b(b: int) -> None:
+    """Raise unless b, the number of draws, is an integer >= 1, checked as
+    ``rngutil.substream`` checks seeds: ``operator.index``, and no bool."""
+    if isinstance(b, bool):
+        raise TypeError("b must be an integer, not bool")
+    try:
+        b = operator.index(b)
+    except TypeError:
+        raise TypeError(f"b must be an integer, got {b!r}") from None
+    if b < 1:
+        raise ValueError(f"b must be >= 1, got {b}")
 
 
 def _checked(alphas: Iterable[float]):
@@ -265,8 +279,7 @@ def draw_bootstrap(
     and a running maximum over the blocks gives each draw's signed max or
     max |.|.  Every scaling and restriction uses the same multiplier rows.
     Raises ``DegenerateBootstrapError`` when every draw is 0."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    check_b(b)
     check_maximum(scaling, restriction, g.p)
     n = g.n
     schedule = _column_blocks(g.p, n)

@@ -37,7 +37,7 @@ from ..estimators import (
     threshold_cov,
 )
 from ..gaussian_approx import kolmogorov_distance
-from ..inference import covariance_null_draws, kendall_null_draws
+from ..inference import test_covariance, test_kendall
 from ..kernels import CovarianceKernel
 from ..matstat import matrix_l1_norm, sup_norm
 from ..ustat import UStatResult, compute_u, sup_stat
@@ -289,16 +289,15 @@ def _test_size_rep(
     """Rejections over the alpha grid of the library's covariance test of
     H0: Sigma = Sigma0 and Kendall test of T0 = I under independence
     (``ind_model``), on 2n rows sampled on (tag, r, 0) and (tag, r, 3) and
-    tested with the keys (tag, r, 1) and (tag, r, 4): the statistics and
-    draws of ``test_covariance`` and ``test_kendall``, which decide every
-    level of the grid at once."""
+    tested with the keys (tag, r, 1) and (tag, r, 4); each test's draws
+    decide every level of the grid at once."""
     tag, n2, b = _TAGS["test_size"], 2 * cfg.n, cfg.bootstrap_b
     data = sample(model, n2, cfg.seed, tag, r, 0)
-    cov = covariance_null_draws(data, sigma, b, cfg.seed, tag, r, 1)
+    cov = test_covariance(data, sigma, b, cfg.seed, tag, r, 1)
     data_k = sample(ind_model, n2, cfg.seed, tag, r, 3)
-    ken = kendall_null_draws(data_k, np.eye(cfg.p), b, cfg.seed, tag, r, 4)
+    ken = test_kendall(data_k, np.eye(cfg.p), b, cfg.seed, tag, r, 4)
     return np.concatenate(
-        [draws.rejects(stat, cfg.alpha_grid) for stat, draws in (cov, ken)]
+        [t.draws.rejects(t.statistic, cfg.alpha_grid) for t in (cov, ken)]
     )
 
 

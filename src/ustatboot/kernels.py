@@ -188,8 +188,9 @@ class DecoupledGEstimates:
     """Per-row Hajek projection estimates ghat_i, half-vectorized (row i of
     ``g_hat`` is ``vech(ghat_i)``: ghat_i is symmetric, so this holds every
     distinct entry), and the training-half U-statistic they were centered
-    with.  ``blocks`` hands ghat to ``draw_bootstrap`` in vech column blocks;
-    this class holds ghat materialized and hands out slices of it."""
+    with.  ``_float32_blocks`` hands ghat to ``draw_bootstrap`` in vech
+    column blocks; this class holds ghat materialized and casts slices of
+    it."""
 
     def __init__(self, g_hat: np.ndarray, train_u: np.ndarray):
         p = train_u.shape[0]
@@ -205,22 +206,16 @@ class DecoupledGEstimates:
     def p(self) -> int:
         return self.train_u.shape[0]
 
-    def blocks(self, schedule: tuple):
-        """Yield the columns g_hat[:, lo:hi] per block (k0, lo, hi, diag) of
-        the ``bootstrap._column_blocks`` schedule, each valid until the next
-        block is asked for."""
-        g_hat = self.g_hat
-        for _, lo, hi, _ in schedule:
-            yield g_hat[:, lo:hi]
-
     def _float32_blocks(self, schedule: tuple):
-        """Yield (x, k) per block of the schedule, with x a float32 array
-        valid until the next block is asked for and x * 2^k the block's
-        columns: here each of ``blocks`` cast by ``_scaled_float32``."""
+        """Yield (x, k) per block (k0, lo, hi, diag) of the
+        ``bootstrap._column_blocks`` schedule, with x a float32 array valid
+        until the next block is asked for and x * 2^k the block's columns:
+        here g_hat[:, lo:hi] cast by ``_scaled_float32``."""
+        g_hat = self.g_hat
         width = max(hi - lo for _, lo, hi, _ in schedule)
         buf = _work_array("bootstrap.block32", (self.n * width,), np.float32)
-        for x in self.blocks(schedule):
-            yield _scaled_float32(x, buf)
+        for _, lo, hi, _ in schedule:
+            yield _scaled_float32(g_hat[:, lo:hi], buf)
 
 
 class Kernel:
@@ -303,9 +298,9 @@ def _vech_rows(factors: tuple, u: np.ndarray | None, k0: int, lo: int, out: np.n
 class _CovarianceEstimates(DecoupledGEstimates):
     """Covariance-kernel ghat from its ``_cross_factors``: column (j, k) is
     d_j * (d_k / 2) + C_jk / 2 - U_jk with U = ``train_u``.  Only ``g_hat``
-    (and so ``blocks``) builds the (n, p(p+1)/2) matrix; ``_float32_blocks``
-    fills float32 blocks in one reused buffer from d^T / 2^a, its exact half
-    and vech(C / 2 - U) / 4^a, rounded once here; a is the larger of the
+    builds the (n, p(p+1)/2) matrix; ``_float32_blocks`` fills float32
+    blocks in one reused buffer from d^T / 2^a, its exact half and
+    vech(C / 2 - U) / 4^a, rounded once here; a is the larger of the
     exponents of max |d| and of sqrt(max |C / 2 - U|), so every factor and
     block entry is below 2 in magnitude and none overflows float32."""
 

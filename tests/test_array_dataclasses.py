@@ -6,6 +6,7 @@ import pytest
 from ustatboot.bootstrap import BootstrapDraws, DecoupledGEstimates
 from ustatboot.distributions import contaminated_normal
 from ustatboot.estimators import LinFunSolution
+from ustatboot import inference
 from ustatboot.lp import LpProblem, solve_lp
 from ustatboot.ustat import UStatResult
 
@@ -23,6 +24,10 @@ _MAKERS = {
         g_hat=np.zeros((4, 3)), train_u=np.zeros((2, 2))
     ),
     "BootstrapDraws": lambda: BootstrapDraws(np.zeros(3), "raw", "all"),
+    # the module's name: pytest would collect an imported Test* class
+    "TestResult": lambda: inference.TestResult(
+        0.0, BootstrapDraws(np.zeros(3), "applications", "offdiag")
+    ),
     "LinFunSolution": lambda: LinFunSolution(
         theta=np.zeros(2), lam=0.5, l1=0.0, feasible=True
     ),

@@ -275,11 +275,11 @@ def test_test_size_replication_runs_the_library_tests():
     for r in range(cfg.replications):
         cov = covariance_test(
             sample(model, 2 * cfg.n, cfg.seed, tag, r, 0),
-            sigma, cfg.alpha, cfg.bootstrap_b, cfg.seed, tag, r, 1,
+            sigma, cfg.bootstrap_b, cfg.seed, tag, r, 1,
         )
         ken = kendall_test(
             sample(ind_model, 2 * cfg.n, cfg.seed, tag, r, 3),
-            np.eye(cfg.p), cfg.alpha, cfg.bootstrap_b, cfg.seed, tag, r, 4,
+            np.eye(cfg.p), cfg.bootstrap_b, cfg.seed, tag, r, 4,
         )
         rows.append(
             [t.draws.rejects(t.statistic, cfg.alpha_grid) for t in (cov, ken)]

@@ -276,7 +276,7 @@ def test_user_kernel_plugs_into_the_bootstrap():
     def run(kernel):
         u, draws = bootstrap_halves(data, kernel, 50, "applications", "all", 5, 2)
         test = ustat_mean_test(
-            data, kernel, np.eye(4), 0.1, 50, 5, 2, restriction="offdiag"
+            data, kernel, np.eye(4), 50, 5, 2, restriction="offdiag"
         )
         return u.u, draws.values, test.draws.values, test.statistic
 
