@@ -6,31 +6,32 @@ estimator), then perturb the estimates with iid standard normal multipliers
 and read quantiles and decisions off the sorted draws at one rank, ``_rank``.
 
 The draws never hold the (B, p(p+1)/2) product of the multipliers with
-ghat.  ``draw_bootstrap`` reads ghat one vech column block at a time (the
+ghat.  ``draw_bootstrap`` walks ghat one vech column block at a time (the
 entries (j, k), j >= k, of whole matrix columns k, about ``_BLOCK_SIZE`` / n
 of them per block): one GEMM of the (B, n) multipliers e with the block's
 columns of ghat, then a running maximum per draw of that block's signed max
 or max |.|.  Each kernel builds its estimates in ``kernels``
-(``Kernel._estimates``), and every kernel's estimates hand the draws each
-block of ghat as float32 columns x and an exponent k, x 2^k the block
-(``DecoupledGEstimates._float32_blocks``): by default slices of a
-materialized ghat, scaled and cast, and for the covariance kernel blocks
+(``Kernel._estimates``).  The draws ask the estimates for each block by
+position, as float32 columns x in a buffer the draws own, with x 2^k the
+block (``DecoupledGEstimates._float32_block``): by default a slice of a
+materialized ghat, scaled and cast, and for the covariance kernel a block
 filled in float32 from factors.  The multipliers and every work array of a
 draw come from the per-thread pool of ``kernels._work_array``, so repeated
 draws at one shape allocate none of them; what a draw returns is always a
 new array.
 
 Only the block products run in float32.  The multipliers are drawn in
-float64 from their substream and rounded once to float32.  A materialized
-block of ghat is divided by 2^k, k the binary exponent of its largest
-|entry|, and rounded once to float32.  Covariance ghat (j, k) is
-d_j d_k / 2 + C_jk / 2 - U_jk (``kernels``); its estimates round d / 2^a,
-its exact half and (C / 2 - U) / 4^a to float32 once, a the larger of the
-exponents of max |d| and of sqrt(max |C / 2 - U|), and fill each block
-entry with one float32 product and one float32 add, with k = 2a.  The GEMM
-and the block's maximum run in float32, and the maximum is multiplied back
-by 2^k in float64, where the running maximum, the scaling and the sort
-stay.  Powers of two scale exactly, so the draws are exactly
+float64 from their substream and rounded once to float32.  The exponent k
+is fixed per estimates object, when it is built: the binary exponent of
+max |ghat| for a materialized ghat, whose blocks are divided by 2^k and
+rounded once to float32, and 2a for the covariance kernel.  Covariance
+ghat (j, k) is d_j d_k / 2 + C_jk / 2 - U_jk (``kernels``); its estimates
+round d / 2^a, its exact half and (C / 2 - U) / 4^a to float32 once, a the
+larger of the exponents of max |d| and of sqrt(max |C / 2 - U|), and fill
+each block entry with one float32 product and one float32 add.  The GEMM,
+each block's maximum and the running maximum run in float32, and the
+running maximum is multiplied by 2^k once, in float64, where the scaling
+and the sort stay.  Powers of two scale exactly, so the draws are exactly
 scale-equivariant, and no block overflows float32, whatever the scale of
 the data.  A float32 sum of n products errs by at most
 gamma_{n+r} sum_i |e_i| m_i, with gamma_m = m 2^-24 / (1 - m 2^-24)
@@ -40,9 +41,8 @@ materialized block, r = 5 and m_i = |d_ij d_ik| / 2 + |C_jk / 2 - U_jk|
 for a covariance block (the roundings of e_i, d_j, d_k, their product and
 the add).  That is a relative error of about 1e-6 at most, against a Monte
 Carlo error of a B = 200 quantile of a few percent.  The bound holds while
-the scaled float32 entries are normal (at least 2^-126); an entry below
-that, 2^-126 or less of the block's largest or of 4^a, adds at most
-2^-150 2^k per rounding.
+the scaled float32 entries are normal; an entry 2^-126 or less of 2^k can
+become subnormal or 0 and adds at most 2^-150 2^k per rounding.
 
 Two scalings of the multiplier statistic are implemented, each paired with
 the centred maximum of ``ustat.sup_stat`` whose law it approximates:
@@ -162,16 +162,26 @@ def _rank(alpha: float, b: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class BootstrapDraws:
-    """Sorted multiplier-bootstrap draws defining the quantile function; a
-    non-finite draw raises FloatingPointError."""
+    """Sorted multiplier-bootstrap draws defining the quantile function.
+    Values that are not a nonempty ascending 1-D array, or an unknown
+    scaling or restriction, raise ValueError, since every decision reads
+    the draws by rank; a non-finite draw raises FloatingPointError."""
 
     values: np.ndarray  # ascending
     scaling: str
     restriction: str
 
     def __post_init__(self):
-        if not np.isfinite(self.values).all():
+        check_maximum(self.scaling, self.restriction)
+        values = self.values
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError(
+                f"bootstrap draws must be a nonempty 1-D array, got shape {values.shape}"
+            )
+        if not np.isfinite(values).all():
             raise FloatingPointError("bootstrap draws must be finite")
+        if (values[1:] < values[:-1]).any():
+            raise ValueError("bootstrap draws must be ascending")
 
     @property
     def b(self) -> int:
@@ -271,28 +281,29 @@ def draw_bootstrap(
     matrix from that substream, filled in row order, so draw d depends only
     on (seed, key, n, d): the draws of a smaller b are a prefix of those of
     a larger one, and results do not depend on execution order or
-    parallelism.  ghat comes in float32 vech column blocks
-    (``g._float32_blocks``); each block's multiplier sums are one float32
-    GEMM (the module docstring has its scaling and error bound), which
-    ``ustat.entry_max`` reduces per draw over every entry or the
+    parallelism.  Each vech column block of ghat is filled in float32 into
+    one pooled buffer (``g._float32_block``); its multiplier sums are one
+    float32 GEMM (the module docstring has its scaling and error bound),
+    which ``ustat.entry_max`` reduces per draw over every entry or the
     off-diagonal ones (a block's diagonal positions are masked in place),
-    and a running maximum over the blocks gives each draw's signed max or
-    max |.|.  Every scaling and restriction uses the same multiplier rows.
-    Raises ``DegenerateBootstrapError`` when every draw is 0."""
+    and a running maximum over the blocks, times 2^``g._exponent32``, gives
+    each draw's signed max or max |.|.  Every scaling and restriction uses
+    the same multiplier rows.  Raises ``DegenerateBootstrapError`` when every draw is 0."""
     check_b(b)
     check_maximum(scaling, restriction, g.p)
     n = g.n
     schedule = _column_blocks(g.p, n)
     width = max(hi - lo for _, lo, hi, _ in schedule)
     e = _multipliers(b, n, seed, *key)
+    block = _work_array("bootstrap.block32", (n * width,), np.float32)
     # the products are column-major: ``entry_max`` then reduces each draw
     # across contiguous columns, which is faster for float32
     out = _work_array("bootstrap.product", (width, b), np.float32)
-    values = np.full(b, -np.inf)
-    for (*_, diag), (x, k) in zip(schedule, g._float32_blocks(schedule)):
-        s = np.matmul(e, x, out=out[: x.shape[1]].T)
-        block_max = entry_max(s, diag, scaling, restriction)
-        np.maximum(values, np.ldexp(block_max, k, dtype=np.float64), out=values)
+    values = np.full(b, -np.inf, np.float32)
+    for k0, lo, hi, diag in schedule:
+        s = np.matmul(e, g._float32_block(k0, lo, hi, block), out=out[: hi - lo].T)
+        np.maximum(values, entry_max(s, diag, scaling, restriction), out=values)
+    values = np.ldexp(values, g._exponent32, dtype=np.float64)
     if not values.any():
         raise DegenerateBootstrapError(
             "every bootstrap draw is 0: the decoupled estimates vanish"

@@ -23,6 +23,8 @@ __all__ = ["TestResult", "test_covariance", "test_kendall", "test_ustat_mean"]
 
 @dataclass(frozen=True, eq=False)
 class TestResult:
+    __test__ = False  # a library class, not one pytest should collect
+
     statistic: float
     draws: BootstrapDraws = field(repr=False)  # sorted; they decide every level
 
@@ -77,3 +79,8 @@ def test_kendall(
         data, KendallKernel(), as_sym(t0) + 1.0, b, seed, *key,
         restriction="offdiag",
     )
+
+
+# library functions, which pytest would otherwise collect wherever a test
+# module imports them by name
+test_ustat_mean.__test__ = test_covariance.__test__ = test_kendall.__test__ = False

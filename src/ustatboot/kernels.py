@@ -20,19 +20,22 @@ possible:
   array is built.
 
 Each kernel builds the decoupled Hajek estimates of
-``bootstrap.estimate_g_decoupled`` (``Kernel._estimates``), which hand
-ghat's own columns to the draws in blocks.  By default
+``bootstrap.estimate_g_decoupled`` (``Kernel._estimates``).  Each estimates
+object fixes one exponent k, ``_exponent32``, when it is built, and fills
+any vech column block of ghat on request as float32 columns x in a buffer
+the caller passes, with x 2^k the block (``_float32_block``).  By default
 ghat = ``cross_mean(main, train)`` - vech(``u_stat(train)``) is materialized
-(:class:`DecoupledGEstimates`).  Covariance ghat (j, k) is
-d_j * (d_k / 2) + C_jk / 2 - U_jk with d = main - mean(train), C the mean
-of the training half's centred outer products and U = U(train); its
-estimates keep only d^T, vech(C) / 2 and vech(U), and ``g_hat`` halves d^T
-when it builds ghat.  Halving is exact, so that ghat equals the materialized
-one bit for bit.  The draws take blocks filled in float32 from d^T / 2^a,
-its half and vech(C / 2 - U) / 4^a, each rounded to float32 once per
-estimates object: their blocks differ from ghat's float32 cast by a few
-float32 roundings (the ``bootstrap`` module docstring bounds the draws'
-error).
+(:class:`DecoupledGEstimates`), k is the binary exponent of max |ghat|, and
+a block is ghat's slice divided by 2^k and rounded once.  Covariance
+ghat (j, k) is d_j * (d_k / 2) + C_jk / 2 - U_jk with d = main - mean(train),
+C the mean of the training half's centred outer products and U = U(train);
+its estimates keep only d^T, vech(C) / 2 and vech(U), and ``g_hat`` halves
+d^T when it builds ghat.  Halving is exact, so that ghat equals the
+materialized one bit for bit.  Its blocks are filled in float32 from
+d^T / 2^a, its half and vech(C / 2 - U) / 4^a, each rounded to float32 once
+per estimates object, with k = 2a: they differ from ghat's float32 cast by
+a few float32 roundings (the ``bootstrap`` module docstring bounds the
+draws' error).
 
 Kendall as a sign-matrix product: with s = sign(x1 - x2) the kernel is
 h = s s^T + 1, so sums of h over a set of N pairs are S^T S + N for the
@@ -169,28 +172,15 @@ def _exponent(x: np.ndarray) -> int:
     return math.frexp(max(x.max(), -x.min()))[1]
 
 
-def _scaled_float32(x: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, int]:
-    """(x / 2^k as float32 in the flat ``buf``, k), k the ``_exponent`` of x.
-    Dividing by a power of two is exact and puts the largest |x| in
-    [1/2, 1), so no finite block overflows float32 or vanishes in it, and
-    products with the copy scale back exactly.  The copy takes x's layout
-    (a slice of a row-major or of a column-major ghat), so the cast streams
-    through both."""
-    k = _exponent(x)
-    if x.strides[0] < x.strides[1]:
-        out = buf[: x.size].reshape(x.shape[::-1]).T
-    else:
-        out = buf[: x.size].reshape(x.shape)
-    return np.multiply(x, math.ldexp(1.0, -k), out=out), k
-
-
 class DecoupledGEstimates:
     """Per-row Hajek projection estimates ghat_i, half-vectorized (row i of
     ``g_hat`` is ``vech(ghat_i)``: ghat_i is symmetric, so this holds every
     distinct entry), and the training-half U-statistic they were centered
-    with.  ``_float32_blocks`` hands ghat to ``draw_bootstrap`` in vech
-    column blocks; this class holds ghat materialized and casts slices of
-    it."""
+    with.  ``_float32_block`` hands ghat to ``draw_bootstrap`` one vech
+    column block at a time, as float32 columns x with x 2^k equal to the
+    block, where k = ``_exponent32`` is fixed when the estimates are built.
+    This class holds ghat materialized, and k is the ``_exponent`` of the
+    whole ghat."""
 
     def __init__(self, g_hat: np.ndarray, train_u: np.ndarray):
         p = train_u.shape[0]
@@ -198,24 +188,32 @@ class DecoupledGEstimates:
             raise ValueError(
                 f"g_hat must be (n, p(p+1)/2) for p = {p}, got {g_hat.shape}"
             )
+        if g_hat.size == 0:
+            raise ValueError(f"g_hat must not be empty, got shape {g_hat.shape}")
         self.g_hat = g_hat  # (n, p(p+1)/2)
         self.train_u = train_u  # (p, p)
         self.n = g_hat.shape[0]
+        self._exponent32 = _exponent(g_hat)
 
     @property
     def p(self) -> int:
         return self.train_u.shape[0]
 
-    def _float32_blocks(self, schedule: tuple):
-        """Yield (x, k) per block (k0, lo, hi, diag) of the
-        ``bootstrap._column_blocks`` schedule, with x a float32 array valid
-        until the next block is asked for and x * 2^k the block's columns:
-        here g_hat[:, lo:hi] cast by ``_scaled_float32``."""
-        g_hat = self.g_hat
-        width = max(hi - lo for _, lo, hi, _ in schedule)
-        buf = _work_array("bootstrap.block32", (self.n * width,), np.float32)
-        for _, lo, hi, _ in schedule:
-            yield _scaled_float32(g_hat[:, lo:hi], buf)
+    def _float32_block(self, k0: int, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        """A float32 view x of the flat ``buf`` with x 2^k equal to
+        ghat[:, lo:hi], k = ``_exponent32``, for the block of the
+        ``bootstrap._column_blocks`` schedule that starts at matrix column
+        k0: here g_hat[:, lo:hi] / 2^k rounded once.  Dividing by a power of
+        two is exact and puts the largest |ghat| in [1/2, 1), so no finite
+        entry overflows float32, and products with x scale back exactly.
+        The copy takes the slice's layout (of a row-major or of a
+        column-major ghat), so the cast streams through both."""
+        x = self.g_hat[:, lo:hi]
+        if x.strides[0] < x.strides[1]:
+            out = buf[: x.size].reshape(x.shape[::-1]).T
+        else:
+            out = buf[: x.size].reshape(x.shape)
+        return np.multiply(x, math.ldexp(1.0, -self._exponent32), out=out)
 
 
 class Kernel:
@@ -277,32 +275,30 @@ def _cross_factors(xs: np.ndarray, ys: np.ndarray) -> tuple[tuple, np.ndarray]:
     return (d_t, vech(gram) / (2 * ys.shape[0])), gram
 
 
-def _vech_rows(factors: tuple, u: np.ndarray | None, k0: int, lo: int, out: np.ndarray):
+def _vech_rows(factors: tuple, k0: int, lo: int, out: np.ndarray):
     """Fill and return ``out`` with the rows for vech positions lo, lo + 1,
-    ... (the first is (k0, k0)) of the covariance kernel's mean over the
-    second sample less vech(U) = ``u`` (None for none): row (j, k) is
-    d_j * (d_k / 2) + C_jk / 2 - U_jk for ``factors`` (d^T, d^T / 2,
-    vech(C) / 2).  Halving is exact, so that is (d_j d_k + C_jk) / 2 - U_jk
-    bit for bit.  Every operation runs in ``out``'s dtype."""
+    ... (the first is (k0, k0)): row (j, k) is d_j * (d_k / 2) + c_jk for
+    ``factors`` (d^T, d^T / 2, vech(c)).  With c = C / 2 that is the
+    covariance kernel's mean over the second sample; halving is exact, so it
+    is (d_j d_k + C_jk) / 2 bit for bit.  Every operation runs in ``out``'s
+    dtype."""
     d_t, half_d_t, half_c = factors
     p, start, k, hi = d_t.shape[0], 0, k0, lo + len(out)
     while start < len(out):
         np.multiply(d_t[k:], half_d_t[k], out=out[start : start + p - k])
         start, k = start + p - k, k + 1
     out += half_c[lo:hi, None]
-    if u is not None:
-        out -= u[lo:hi, None]
     return out
 
 
 class _CovarianceEstimates(DecoupledGEstimates):
     """Covariance-kernel ghat from its ``_cross_factors``: column (j, k) is
     d_j * (d_k / 2) + C_jk / 2 - U_jk with U = ``train_u``.  Only ``g_hat``
-    builds the (n, p(p+1)/2) matrix; ``_float32_blocks`` fills float32
-    blocks in one reused buffer from d^T / 2^a, its exact half and
-    vech(C / 2 - U) / 4^a, rounded once here; a is the larger of the
-    exponents of max |d| and of sqrt(max |C / 2 - U|), so every factor and
-    block entry is below 2 in magnitude and none overflows float32."""
+    builds the (n, p(p+1)/2) matrix; ``_float32_block`` fills a float32
+    block from d^T / 2^a, its exact half and vech(C / 2 - U) / 4^a, rounded
+    once here, with k = 2a; a is the larger of the exponents of max |d| and
+    of sqrt(max |C / 2 - U|), so every factor and block entry is below 2 in
+    magnitude and none overflows float32."""
 
     def __init__(self, factors: tuple[np.ndarray, np.ndarray], train_u: np.ndarray):
         self._factors = factors
@@ -322,14 +318,13 @@ class _CovarianceEstimates(DecoupledGEstimates):
         """ghat built on demand, bit for bit ``cross_mean`` - vech(U)."""
         d_t, half_c = self._factors
         out = np.empty((self._u.size, self.n))
-        return _vech_rows((d_t, d_t / 2.0, half_c), self._u, 0, 0, out).T
+        _vech_rows((d_t, d_t / 2.0, half_c), 0, 0, out)
+        out -= self._u[:, None]
+        return out.T
 
-    def _float32_blocks(self, schedule: tuple):
-        width = max(hi - lo for _, lo, hi, _ in schedule)
-        buf = _work_array("bootstrap.block32", (self.n * width,), np.float32)
-        for k0, lo, hi, _ in schedule:
-            x = buf[: (hi - lo) * self.n].reshape(hi - lo, self.n)
-            yield _vech_rows(self._factors32, None, k0, lo, x).T, self._exponent32
+    def _float32_block(self, k0: int, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+        x = buf[: (hi - lo) * self.n].reshape(hi - lo, self.n)
+        return _vech_rows(self._factors32, k0, lo, x).T
 
 
 class CovarianceKernel(Kernel):
@@ -350,7 +345,7 @@ class CovarianceKernel(Kernel):
     def cross_mean(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         (d_t, half_c), _ = _cross_factors(xs, ys)
         out = np.empty((half_c.size, d_t.shape[1]))
-        return _vech_rows((d_t, d_t / 2.0, half_c), None, 0, 0, out).T
+        return _vech_rows((d_t, d_t / 2.0, half_c), 0, 0, out).T
 
     def _estimates(self, main: np.ndarray, train: np.ndarray) -> DecoupledGEstimates:
         # only ghat's factors are kept (module docstring); U(train) = G / (n - 1)

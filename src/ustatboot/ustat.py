@@ -50,14 +50,16 @@ def kendall_tau_matrix(data: np.ndarray) -> np.ndarray:
     return KendallKernel().u_stat(data) - 1.0
 
 
-def check_maximum(scaling: str, restriction: str, p: int) -> None:
+def check_maximum(scaling: str, restriction: str, p: int | None = None) -> None:
+    """Raise ValueError for an unknown scaling or restriction, or for the
+    off-diagonal maximum at p < 2; with no p, check only the names."""
     if scaling not in SCALINGS:
         raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
     if restriction not in RESTRICTIONS:
         raise ValueError(
             f"restriction must be one of {RESTRICTIONS}, got {restriction!r}"
         )
-    if restriction == "offdiag" and p < 2:
+    if restriction == "offdiag" and p is not None and p < 2:
         raise ValueError("the off-diagonal maximum needs p >= 2")
 
 

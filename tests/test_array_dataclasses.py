@@ -6,7 +6,7 @@ import pytest
 from ustatboot.bootstrap import BootstrapDraws, DecoupledGEstimates
 from ustatboot.distributions import contaminated_normal
 from ustatboot.estimators import LinFunSolution
-from ustatboot import inference
+from ustatboot.inference import TestResult
 from ustatboot.lp import LpProblem, solve_lp
 from ustatboot.ustat import UStatResult
 
@@ -24,8 +24,7 @@ _MAKERS = {
         g_hat=np.zeros((4, 3)), train_u=np.zeros((2, 2))
     ),
     "BootstrapDraws": lambda: BootstrapDraws(np.zeros(3), "raw", "all"),
-    # the module's name: pytest would collect an imported Test* class
-    "TestResult": lambda: inference.TestResult(
+    "TestResult": lambda: TestResult(
         0.0, BootstrapDraws(np.zeros(3), "applications", "offdiag")
     ),
     "LinFunSolution": lambda: LinFunSolution(

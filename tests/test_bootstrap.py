@@ -327,6 +327,11 @@ def test_decoupled_estimates_reject_a_dense_g_hat():
         DecoupledGEstimates(g_hat=np.zeros((4, 3, 3)), train_u=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         DecoupledGEstimates(g_hat=np.zeros((4, 5)), train_u=np.zeros((3, 3)))
+    # the exponent of max |ghat| is read when the estimates are built
+    empty = [(np.zeros((0, 6)), np.zeros((3, 3))), (np.zeros((4, 0)), np.zeros((0, 0)))]
+    for g_hat, train_u in empty:
+        with pytest.raises(ValueError, match="must not be empty"):
+            DecoupledGEstimates(g_hat=g_hat, train_u=train_u)
 
 
 def test_draw_bootstrap_offdiag_ignores_diagonal():
@@ -383,9 +388,11 @@ def test_covariance_draws_equal_the_materialized_draws(n, p):
     # (21, 300) across many column blocks
     data = np.random.default_rng(n + p).standard_normal((2, n, p)) + 3.0
     g = estimate_g_decoupled(*data, CovarianceKernel())
+    schedule = _column_blocks(p, g.n)
+    buf = np.empty(g.n * max(hi - lo for _, lo, hi, _ in schedule), np.float32)
     rounded = [
-        np.ldexp(x.T, k, dtype=np.float64)
-        for x, k in g._float32_blocks(_column_blocks(p, g.n))
+        np.ldexp(g._float32_block(k0, lo, hi, buf).T, g._exponent32, dtype=np.float64)
+        for k0, lo, hi, _ in schedule
     ]
     materialized = DecoupledGEstimates(np.concatenate(rounded).T, g.train_u)
     for scaling in SCALINGS:
@@ -432,6 +439,46 @@ def test_draws_are_exactly_scale_equivariant(kernel, k):
             want = draw_bootstrap(g, 50, scaling, restriction, 5, 1).values
             got = draw_bootstrap(g_scaled, 50, scaling, restriction, 5, 1).values
             np.testing.assert_array_equal(got, want * factor)
+
+
+@pytest.mark.parametrize("j", [-80, -1, 1, 80])
+def test_materialized_draws_are_exactly_scale_equivariant(j):
+    # a materialized ghat times 2^j: its one exponent moves by j, so the
+    # float32 blocks, their products and maxima are the same bits and the
+    # draws scale by 2^j exactly; at n = 60, p = 60 the draws take two
+    # column blocks
+    data = np.random.default_rng(12).standard_normal((2, 60, 60))
+    g = estimate_g_decoupled(*data, KendallKernel())
+    assert len(_column_blocks(g.p, g.n)) > 1
+    g_scaled = DecoupledGEstimates(g.g_hat * 2.0**j, g.train_u)
+    for scaling in SCALINGS:
+        for restriction in RESTRICTIONS:
+            want = draw_bootstrap(g, 50, scaling, restriction, 5, 1).values
+            got = draw_bootstrap(g_scaled, 50, scaling, restriction, 5, 1).values
+            np.testing.assert_array_equal(got, want * 2.0**j)
+
+
+@pytest.mark.parametrize("scale", [40, -40])
+def test_materialized_draws_hold_the_float32_bound_across_scales(scale):
+    # one exponent serves the whole materialized ghat: covariance ghat of
+    # data whose first half of columns is scaled by 2^scale and the second
+    # by 2^-scale, materialized, spans 2^160, so the blocks of the small
+    # columns fall below float32's range at the large columns' exponent; the
+    # draws still hold the bound against the float64 reference (p = 300,
+    # many column blocks)
+    n, p = 21, 300
+    data = np.random.default_rng(13).standard_normal((2 * n + 1, p)) + 3.0
+    data = np.ldexp(data, np.where(np.arange(p) < p // 2, scale, -scale))
+    cov = estimate_g_decoupled(*split_sample(data, 5, 1), CovarianceKernel())
+    g = DecoupledGEstimates(cov.g_hat, cov.train_u)
+    assert len(_column_blocks(p, g.n)) > 1
+    for scaling in SCALINGS:
+        for restriction in RESTRICTIONS:
+            got = draw_bootstrap(g, 200, scaling, restriction, 6, 2).values
+            want = _unblocked_draws(g, 200, scaling, restriction, 6, 2)
+            atol = _draws_atol(g, 200, scaling, 6, 2)
+            assert atol < 1e-2 * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
 
 
 def test_covariance_bootstrap_peak_memory_is_blocked():
@@ -633,6 +680,20 @@ def test_quantile_index_exact_on_level_grid(b):
         rank = max(math.ceil(Fraction(i, 20) * b), 1)
         for alpha in _levels(i):
             assert quantile(draws, alpha) == rank, (alpha, b)
+
+
+def test_draws_reject_values_they_would_misread():
+    # unsorted draws read by rank gave p_value(2.5) = 0.0 with 3.0 above it
+    with pytest.raises(ValueError, match="ascending"):
+        BootstrapDraws(np.array([3.0, 1.0, 2.0, 0.5]), "applications", "all")
+    for bad in (np.zeros((2, 2)), np.zeros(0), np.float64(1.0)):
+        with pytest.raises(ValueError, match="nonempty 1-D"):
+            BootstrapDraws(bad, "applications", "all")
+    for scaling, restriction in (("weird", "all"), ("raw", "upper")):
+        with pytest.raises(ValueError, match="must be one of"):
+            BootstrapDraws(np.zeros(1), scaling, restriction)
+    # ties are ascending
+    assert BootstrapDraws(np.array([1.0, 1.0, 2.5]), "raw", "offdiag").b == 3
 
 
 def test_draws_reject_non_finite_values():

@@ -5,6 +5,10 @@ from pathlib import Path
 
 import ustatboot
 
+# imported by name, so pytest sees them here: a public name starting with
+# test or Test is collected unless it carries __test__ = False
+from ustatboot import TestResult, test_covariance, test_kendall, test_ustat_mean  # noqa: F401
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -55,3 +59,17 @@ def test_readme_api_section_lists_every_export():
         m.__name__: list(m.__all__) for m in _modules()[1:] if hasattr(m, "__all__")
     }
     assert _readme_api() == expected
+
+
+def test_public_test_names_are_not_collected():
+    # every module's public names, which ``from ustatboot import *`` and
+    # imports by name bring into a test module
+    named = [
+        (module, name)
+        for module in _modules()
+        for name in getattr(module, "__all__", [])
+        if name.startswith(("test", "Test"))
+    ]
+    assert (ustatboot.inference, "TestResult") in named
+    for module, name in named:
+        assert vars(getattr(module, name)).get("__test__") is False, (module, name)
